@@ -1034,13 +1034,14 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 	if gridN <= 0 {
 		gridN = defaultGridN
 	}
-	// Delta-free columnar queries take the data-view path: the sealed data
-	// blocks become (or reuse) the dense per-grid layout, and the job
-	// shuffles feature records only. With a delta visible the combined
-	// source carries both kinds in-stream, exactly as before — appended
-	// records cannot be in any sealed view. Distributed engines skip the
-	// view as well: it is an in-process structure a worker cannot receive,
-	// and shipping the job matters more than the shuffle savings.
+	// Delta-free columnar queries take the data-view path: all sealed data
+	// blocks of the generation become (or reuse) the dense per-grid layout,
+	// and the job shuffles the planned feature records only. With a delta
+	// visible the combined source carries both kinds in-stream, exactly as
+	// before — appended records cannot be in any sealed view. Distributed
+	// engines skip the view as well: it is an in-process structure a
+	// worker cannot receive, and shipping the job matters more than the
+	// shuffle savings.
 	var view *core.DataView
 	var segIO *data.SegIOStats
 	cols := colsFeat
@@ -1048,7 +1049,7 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 		segIO = &data.SegIOStats{}
 	}
 	if columnar && delta == nil && e.exec == nil {
-		v, err := e.dataView(snap, colsData, gridN, bounds, segIO)
+		v, err := e.dataView(snap, gridN, bounds, segIO)
 		if err != nil {
 			return nil, err
 		}
@@ -1201,16 +1202,20 @@ func selectCells(cells []data.CellStats, blocks map[string][]int) []data.ColSel 
 	return out
 }
 
-// dataView returns the cached per-grid data view for this generation,
-// grid and pruned data-block selection, building it from the (segment-
-// cache-resident) data blocks on first use. Concurrent cold queries for
-// the same view — every in-flight client right after a compaction —
-// share one build.
-func (e *Engine) dataView(s *snapshot, dataSel []data.ColSel, gridN int, bounds geo.Rect, io *data.SegIOStats) (*core.DataView, error) {
-	key := core.ViewKey(s.manifest.Generation, gridN, bounds, dataSel)
+// dataView returns the cached data view of this generation over the query
+// grid (gridN x gridN cells tiling bounds), building it from all the
+// generation's sealed data blocks on first use. The key leaves out the
+// query's pruned block selection on purpose: objects in pruned blocks have
+// no surviving feature within r, and reduce only visits the cells that
+// features reach and never reports an object scoring 0, so one view per
+// (generation, grid) serves every query on that grid with identical
+// results. Concurrent cold queries for the same view — every in-flight
+// client right after a compaction — share one build.
+func (e *Engine) dataView(s *snapshot, gridN int, bounds geo.Rect, io *data.SegIOStats) (*core.DataView, error) {
+	key := core.ViewKey(s.manifest.Generation, gridN, bounds, nil)
 	build := func() (*core.DataView, error) {
 		g := grid.New(bounds, gridN, gridN)
-		in := data.NewColInput(e.fs, dataSel, e.segCache, s.manifest.Generation)
+		in := data.NewColInput(e.fs, selectCells(s.manifest.Data, nil), e.segCache, s.manifest.Generation)
 		in.IO = io
 		return core.BuildDataView(g, in)
 	}

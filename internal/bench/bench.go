@@ -549,10 +549,10 @@ func (h *Harness) runPlanned(ds *data.Dataset, alg core.Algorithm, q core.Query,
 	cell, rep, err := h.measure(func() (*core.Report, error) {
 		before := st.cache.Stats()
 		io := &data.SegIOStats{}
-		// The surviving data blocks become (or reuse) the per-grid data
-		// view: the job shuffles feature records only, and reduce tasks
-		// score against the view's dense per-cell columns.
-		view, err := st.dataView(ds, dataSel, gridN, io)
+		// The generation's data blocks become (or reuse) the per-grid
+		// data view: the job shuffles feature records only, and reduce
+		// tasks score against the view's dense per-cell columns.
+		view, err := st.dataView(ds, gridN, io)
 		if err != nil {
 			return nil, err
 		}
@@ -596,15 +596,20 @@ func (h *Harness) runPlanned(ds *data.Dataset, alg core.Algorithm, q core.Query,
 	return cell, nil
 }
 
-// dataView returns the cached data view for this grid and pruned data
-// selection, building it from the (cache-resident) data blocks on first
-// use. Keyed by core.ViewKey, the same canonical identity the engine
-// uses, so the harness measures the cache behaviour the engine ships.
-func (st *segStore) dataView(ds *data.Dataset, dataSel []data.ColSel, gridN int, io *data.SegIOStats) (*core.DataView, error) {
-	key := core.ViewKey(st.man.Generation, gridN, ds.Bounds(), dataSel)
+// dataView returns the cached data view of this generation over the
+// gridN grid, building it from all the generation's data blocks on first
+// use. Keyed on (generation, grid) through core.ViewKey exactly as the
+// engine keys its views, so the harness measures the cache behaviour the
+// engine ships.
+func (st *segStore) dataView(ds *data.Dataset, gridN int, io *data.SegIOStats) (*core.DataView, error) {
+	key := core.ViewKey(st.man.Generation, gridN, ds.Bounds(), nil)
 	return st.views.GetOrBuild(key, func() (*core.DataView, error) {
 		g := grid.New(ds.Bounds(), gridN, gridN)
-		in := data.NewColInput(st.store, dataSel, st.cache, st.man.Generation)
+		sel := make([]data.ColSel, 0, len(st.man.Data))
+		for _, cs := range st.man.Data {
+			sel = append(sel, data.ColSel{Cell: cs})
+		}
+		in := data.NewColInput(st.store, sel, st.cache, st.man.Generation)
 		in.IO = io
 		return core.BuildDataView(g, in)
 	})

@@ -20,13 +20,17 @@ import (
 // data objects carry no keywords, never duplicate (only features fan out
 // under Lemma 1), and land in exactly one cell — so shuffling them
 // per-query sorts, copies and merges the same 50% of the input into the
-// same buckets every time. A view computes that bucketing once; queries
-// sharing (generation, grid, pruned data selection) reuse it through
-// ViewCache, and their MapReduce jobs read only feature records. Reduce
-// tasks resolve their cell's objects directly from the view, exactly as if
-// the records had arrived in-stream first (the comparator guarantees data
-// before features, so preloading is order-equivalent), making results
-// bit-identical to the shuffled path.
+// same buckets every time. A view computes that bucketing once over all
+// of a generation's data objects; every query sharing (generation, grid)
+// reuses it through ViewCache, whatever its keywords or pruned block
+// selection, and its MapReduce job reads only feature records. Objects the
+// planner would have pruned are harmless: they have no surviving feature
+// within r, reduce visits only the cells that features reach, and the
+// reducers never report an object scoring 0. Reduce tasks resolve their
+// cell's objects directly from the view, exactly as if the records had
+// arrived in-stream first (the comparator guarantees data before features,
+// so preloading is order-equivalent), making results bit-identical to the
+// shuffled path.
 type DataView struct {
 	gridN  int
 	bounds geo.Rect
@@ -131,12 +135,13 @@ func dimsOf(g *grid.Grid) int {
 }
 
 // ViewKey canonicalizes one data-view identity: storage generation, query
-// grid (size and bounds), and the exact pruned data-block selection. The
-// full string is the cache key — a digest would let two distinct
-// selections collide and silently serve a view built for the wrong blocks.
-// A nil block list and an explicit every-block list render identically, so
-// planned-but-unpruned and unplanned reads of the same generation share
-// one cached view.
+// grid (size and bounds) and, optionally, a data-block selection. The
+// engine passes a nil selection — its views cover every data block of the
+// generation, so the key is (generation, grid). A caller that builds views
+// over a subset passes that subset; the full string is then the key, since
+// a digest would let two distinct selections collide and silently serve a
+// view built for the wrong blocks. A nil block list and an explicit
+// every-block list of a cell render identically.
 func ViewKey(gen uint64, gridN int, bounds geo.Rect, sel []data.ColSel) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d|%d|%x,%x,%x,%x|", gen, gridN,
@@ -161,9 +166,9 @@ const DefaultViewCacheRecords = 1 << 21
 // ViewCache is an LRU over data views, budgeted by total cached records
 // rather than entry count: one view of a 10M-object generation should not
 // cost the same as one view of a 10k-object test corpus. Keys are caller-
-// defined; the engine keys on (generation, grid, pruned data selection),
-// so — like the query and segment caches — a generation bump makes stale
-// views unreachable by construction.
+// defined; the engine keys on (generation, grid), so — like the query and
+// segment caches — a generation bump makes stale views unreachable by
+// construction, and the cache holds one view per grid size in use.
 type ViewCache struct {
 	mu      sync.Mutex
 	budget  int

@@ -174,7 +174,12 @@ type FileSystem struct {
 	mu      sync.RWMutex
 	files   map[string]*fileMeta
 	nextBlk BlockID
-	rng     *rand.Rand
+	// rng drives replica placement. math/rand.Rand is not safe for
+	// concurrent use, and concurrent Creates (distributed shuffle writes)
+	// place blocks at once, so rngMu guards it; serial use draws the same
+	// sequence for a given seed.
+	rngMu sync.Mutex
+	rng   *rand.Rand
 
 	// reads is the global block-read counter driving the fault plan's
 	// deterministic schedules (transient errors, crash events).
@@ -255,7 +260,9 @@ func (fs *FileSystem) placeReplicas() ([]int, error) {
 	if k > len(live) {
 		k = len(live)
 	}
+	fs.rngMu.Lock()
 	fs.rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+	fs.rngMu.Unlock()
 	picked := append([]int(nil), live[:k]...)
 	sort.Ints(picked)
 	return picked, nil

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -120,6 +122,79 @@ func TestBlockCountAndReplication(t *testing.T) {
 			}
 			seen[h] = true
 		}
+	}
+}
+
+// TestConcurrentCreatePlacement writes files from many goroutines at once,
+// as concurrent shuffle writers do, so replica placement draws from the
+// shared placement rng concurrently; under -race an unguarded rng fails.
+// Every block must still land on distinct live nodes.
+func TestConcurrentCreatePlacement(t *testing.T) {
+	fs := newFS(t, Config{NumNodes: 6, BlockSize: 4, Replication: 3, Seed: 7})
+	const writers, files = 8, 16
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < files; i++ {
+				if err := fs.Create(fmt.Sprintf("w%d/f%d", w, i), make([]byte, 4*5)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < files; i++ {
+			locs, err := fs.BlockLocations(fmt.Sprintf("w%d/f%d", w, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b, hosts := range locs {
+				seen := map[string]bool{}
+				for _, h := range hosts {
+					if seen[h] {
+						t.Errorf("w%d/f%d block %d replicated twice on %s", w, i, b, h)
+					}
+					seen[h] = true
+				}
+				if len(hosts) != 3 {
+					t.Errorf("w%d/f%d block %d has %d replicas, want 3", w, i, b, len(hosts))
+				}
+			}
+		}
+	}
+}
+
+// TestSerialPlacementDeterministic pins placement to the seed: two file
+// systems with the same seed and the same serial writes place every block
+// identically.
+func TestSerialPlacementDeterministic(t *testing.T) {
+	place := func() [][]string {
+		fs := newFS(t, Config{NumNodes: 6, BlockSize: 4, Replication: 2, Seed: 11})
+		var all [][]string
+		for i := 0; i < 5; i++ {
+			name := fmt.Sprintf("f%d", i)
+			if err := fs.Create(name, make([]byte, 4*3)); err != nil {
+				t.Fatal(err)
+			}
+			locs, err := fs.BlockLocations(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, locs...)
+		}
+		return all
+	}
+	if a, b := place(), place(); !reflect.DeepEqual(a, b) {
+		t.Errorf("same seed placed blocks differently:\n%v\n%v", a, b)
 	}
 }
 

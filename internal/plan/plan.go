@@ -18,11 +18,14 @@
 //     have survived step 2.)
 //
 // Both distance tests use the tight per-cell bounding rectangles from the
-// manifest, not the full cell rectangles. The planner then picks the
-// query-time grid size and reducer count from the surviving statistics
-// instead of a hardcoded default. Pruning never changes results: survivor
-// files feed the unmodified query-time grid algorithms, so the top-k is
-// identical to the unpruned path.
+// manifest, not the full cell rectangles, and look candidates up in a
+// uniform bucket index over the surviving side's bounds (unitIndex) rather
+// than testing all pairs; the exact MINDIST test still decides, so the
+// index never changes a decision. The planner then picks the query-time
+// grid size and reducer count from the surviving statistics instead of a
+// hardcoded default. Pruning never changes results: survivor files feed
+// the unmodified query-time grid algorithms, so the top-k is identical to
+// the unpruned path.
 package plan
 
 import (
@@ -227,7 +230,26 @@ func regroup(cells []data.CellStats, surv []unit, delta bool, blocks map[string]
 // hypothetical re-seal of everything. Where the manifest carries block
 // zone maps (SPQ2 columnar storage), the granule is the column block, not
 // the cell: a surviving cell may be read only partially.
+//
+// Both distance-pruning steps probe a bucket index over the units that
+// survived the previous step (see unitIndex), so planning costs about
+// O(units) rather than O(data units x feature units).
 func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats, in Input) *Decision {
+	return planGenerations(m, deltaData, deltaFeatures, in, func(us []unit, r float64) prober {
+		return newUnitIndex(us, r)
+	})
+}
+
+// prober answers whether any unit of a fixed set lies within MINDIST r of
+// a rectangle.
+type prober interface {
+	withinAny(b geo.Rect) bool
+}
+
+// planGenerations is PlanGenerations with the distance-pruning probe
+// structure supplied by index, so tests can compare the bucket index
+// against exhaustive pairwise pruning.
+func planGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats, in Input, index func([]unit, float64) prober) *Decision {
 	d := &Decision{Stats: Stats{
 		SealGridN:    m.Grid.N,
 		DataCells:    len(m.Data) + len(deltaData),
@@ -264,21 +286,27 @@ func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats
 	}
 
 	// 2. Distance pruning of data units against surviving feature units.
-	r2 := in.Radius * in.Radius
 	survD := make([]unit, 0, len(allD))
-	for _, du := range allD {
-		if withinAny(du.bounds, survF, r2) {
-			survD = append(survD, du)
+	if len(survF) > 0 {
+		idx := index(survF, in.Radius)
+		for _, du := range allD {
+			if idx.withinAny(du.bounds) {
+				survD = append(survD, du)
+			}
 		}
 	}
 
 	// 3. Distance pruning of feature units against surviving data units.
 	// (This cannot re-orphan a data unit: had the feature unit been within
 	// r of a data unit, that data unit would have survived step 2.)
-	finalF := survF[:0]
-	for _, fu := range survF {
-		if withinAny(fu.bounds, survD, r2) {
-			finalF = append(finalF, fu)
+	var finalF []unit
+	if len(survD) > 0 {
+		idx := index(survD, in.Radius)
+		finalF = make([]unit, 0, len(survF))
+		for _, fu := range survF {
+			if idx.withinAny(fu.bounds) {
+				finalF = append(finalF, fu)
+			}
 		}
 	}
 
@@ -316,11 +344,149 @@ func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats
 	return d
 }
 
-// withinAny reports whether any unit in units has MINDIST <= r from b.
-func withinAny(b geo.Rect, units []unit, r2 float64) bool {
+// unitIndex answers "is any unit within MINDIST r of this rectangle?"
+// over a fixed unit set without testing every unit: a uniform bucket grid
+// over the set's union bounds, each unit listed in every bucket its bounds
+// overlap. A probe visits only the buckets its r-expanded rectangle
+// overlaps, and the exact geo.RectMinDist2 test still decides, so the
+// index only filters candidates and never changes an answer. Units that
+// would span many buckets, and units without ordered bounds, stay in a
+// short list every probe scans; that bounds the index at a few entries
+// per unit however the bounds are shaped.
+type unitIndex struct {
+	units []unit
+	r2    float64
+	pad   float64
+	// nx x ny buckets tile [minX, minX+nx/invX] x [minY, minY+ny/invY];
+	// an axis without extent has one bucket and inv 0.
+	minX, minY float64
+	nx, ny     int
+	invX, invY float64
+	// start[b]:start[b+1] delimits bucket b's unit indices in ids (CSR).
+	start []int32
+	ids   []int32
+	// wide lists the units every probe tests.
+	wide []int32
+}
+
+// maxUnitBuckets caps the buckets one unit is listed in; wider units go
+// to unitIndex.wide.
+const maxUnitBuckets = 16
+
+func newUnitIndex(units []unit, r float64) *unitIndex {
+	x := &unitIndex{units: units, r2: r * r, pad: math.Abs(r)}
+	union := geo.Rect{MinX: 1, MaxX: -1} // empty
 	for _, u := range units {
-		if geo.RectMinDist2(b, u.bounds) <= r2 {
-			return true
+		if ordered(u.bounds) {
+			union = union.Union(u.bounds)
+		}
+	}
+	// About one unit per bucket.
+	side := int(math.Ceil(math.Sqrt(float64(len(units)))))
+	x.minX, x.minY = union.MinX, union.MinY
+	x.nx, x.invX = bucketAxis(side, union.Width())
+	x.ny, x.invY = bucketAxis(side, union.Height())
+
+	// Two passes build the CSR lists: count per bucket, then fill.
+	x.start = make([]int32, x.nx*x.ny+1)
+	x.eachBucket(func(_ int32, b int) { x.start[b+1]++ })
+	for b := 1; b < len(x.start); b++ {
+		x.start[b] += x.start[b-1]
+	}
+	x.ids = make([]int32, x.start[len(x.start)-1])
+	fill := append([]int32(nil), x.start[:len(x.start)-1]...)
+	x.eachBucket(func(i int32, b int) {
+		x.ids[fill[b]] = i
+		fill[b]++
+	})
+	return x
+}
+
+// ordered reports whether b's bounds are ordered numbers (not inverted,
+// not NaN), the precondition for locating b in buckets.
+func ordered(b geo.Rect) bool { return b.MinX <= b.MaxX && b.MinY <= b.MaxY }
+
+// bucketAxis sizes one axis: n buckets of extent/n each, as a bucket
+// count and the inverse bucket size.
+func bucketAxis(n int, extent float64) (int, float64) {
+	inv := float64(n) / extent
+	if n < 1 || !(extent > 0) || math.IsInf(inv, 0) || inv == 0 {
+		return 1, 0
+	}
+	return n, inv
+}
+
+// eachBucket calls fn for every (unit, bucket) pair of the bucket lists,
+// in unit order, and collects the wide units.
+func (x *unitIndex) eachBucket(fn func(i int32, b int)) {
+	x.wide = x.wide[:0]
+	for i, u := range x.units {
+		x0, x1, y0, y1 := x.span(u.bounds, 0)
+		if !ordered(u.bounds) || (x1-x0+1)*(y1-y0+1) > maxUnitBuckets {
+			x.wide = append(x.wide, int32(i))
+			continue
+		}
+		for by := y0; by <= y1; by++ {
+			for bx := x0; bx <= x1; bx++ {
+				fn(int32(i), by*x.nx+bx)
+			}
+		}
+	}
+}
+
+// span returns the clamped bucket range of b expanded by d. The mapping
+// is monotone in each coordinate (floating-point subtraction and scaling
+// by a positive constant never reorder values), so two overlapping
+// intervals always share a bucket.
+func (x *unitIndex) span(b geo.Rect, d float64) (x0, x1, y0, y1 int) {
+	x0, x1 = bucketOf(b.MinX-d, x.minX, x.invX, x.nx), bucketOf(b.MaxX+d, x.minX, x.invX, x.nx)
+	y0, y1 = bucketOf(b.MinY-d, x.minY, x.invY, x.ny), bucketOf(b.MaxY+d, x.minY, x.invY, x.ny)
+	return x0, x1, y0, y1
+}
+
+func bucketOf(v, origin, inv float64, n int) int {
+	f := (v - origin) * inv
+	switch {
+	case !(f >= 0): // also NaN
+		return 0
+	case f >= float64(n):
+		return n - 1
+	}
+	return int(f)
+}
+
+// withinAny reports whether any indexed unit has MINDIST <= r from b.
+func (x *unitIndex) withinAny(b geo.Rect) bool {
+	test := func(ids []int32) bool {
+		for _, i := range ids {
+			if geo.RectMinDist2(b, x.units[i].bounds) <= x.r2 {
+				return true
+			}
+		}
+		return false
+	}
+	if test(x.wide) {
+		return true
+	}
+	if !ordered(b) {
+		// No bucket range to probe: test every unit.
+		for i := range x.units {
+			if geo.RectMinDist2(b, x.units[i].bounds) <= x.r2 {
+				return true
+			}
+		}
+		return false
+	}
+	// The probe is b expanded by r plus a tiny outward pad, so rounding
+	// in the expansion cannot move its edge inside a unit exactly r away.
+	d := x.pad + 1e-9*(x.pad+math.Abs(b.MinX)+math.Abs(b.MaxX)+math.Abs(b.MinY)+math.Abs(b.MaxY))
+	x0, x1, y0, y1 := x.span(b, d)
+	for by := y0; by <= y1; by++ {
+		for bx := x0; bx <= x1; bx++ {
+			bi := by*x.nx + bx
+			if test(x.ids[x.start[bi]:x.start[bi+1]]) {
+				return true
+			}
 		}
 	}
 	return false

@@ -125,6 +125,17 @@ func TestPlannedQueriesMatchUnplannedProperty(t *testing.T) {
 // partitioning pays off.
 func loadClusteredCorpus(t *testing.T, e *Engine, n, nClusters int) {
 	t.Helper()
+	dataObjs, feats := clusteredCorpus(n, nClusters)
+	if err := e.AddData(dataObjs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddFeature(feats...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// clusteredCorpus generates the objects loadClusteredCorpus loads.
+func clusteredCorpus(n, nClusters int) ([]DataObject, []Feature) {
 	rng := rand.New(rand.NewSource(23))
 	centers := make([][2]float64, nClusters)
 	for i := range centers {
@@ -146,12 +157,7 @@ func loadClusteredCorpus(t *testing.T, e *Engine, n, nClusters int) {
 			}})
 		}
 	}
-	if err := e.AddData(dataObjs...); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddFeature(feats...); err != nil {
-		t.Fatal(err)
-	}
+	return dataObjs, feats
 }
 
 // TestPlannerReadsFractionOnSelectiveQuery is the serving-throughput
