@@ -45,8 +45,6 @@ func main() {
 		redSlots = flag.Int("reduce-slots", 0, "reduce worker slots (default NumCPU)")
 		quick    = flag.Bool("quick", false, "run only the endpoints of each sweep")
 		repeat   = flag.Int("repeat", 1, "run each measured cell N times and keep the fastest (use 3+ when comparing BENCH_*.json trajectories)")
-		legacy   = flag.Bool("legacy", false, "measure the pre-SPQ2 path (unplanned full scan) instead of the planned columnar serving path")
-		segment  = flag.String("segment", "", "columnar segment format for the planned path: spq3 (compressed, default) or spq2")
 		verify   = flag.Bool("verify", false, "prove result identity of every measured cell against the full-scan reference (rows gain \"verified\": true)")
 		counters = flag.Bool("counters", false, "also print features-examined counters per figure")
 		jsonOut  = flag.Bool("json", false, "emit results as a JSON array of rows (figure, series, x, millis, counters) instead of tables")
@@ -115,8 +113,6 @@ func main() {
 		ReduceSlots:   *redSlots,
 		Quick:         *quick,
 		Repeat:        *repeat,
-		Legacy:        *legacy,
-		Segment:       *segment,
 		Verify:        *verify,
 	})
 

@@ -2,38 +2,63 @@ package spq
 
 import (
 	"testing"
+
+	"spq/internal/core"
+	"spq/internal/data"
+	"spq/internal/geo"
 )
 
 // TestColumnarMatchesRecordStorageProperty is the storage-format
 // correctness property: the same corpus sealed as SPQ3 compressed
-// segments (the binary default), as SPQ2 plain columnar segments, and as
-// legacy SPQ1 record files returns byte-identical results for every
-// algorithm, planned and unplanned. The format changes how bytes reach
-// the map phase — compressed or plain column blocks fetched by zone-map
-// offset versus records streamed through sync markers — and nothing
-// else. For SPQ3 this also covers the posting-list pushdown: planned
-// queries skip irrelevant feature records via the block dictionary
-// instead of testing them one by one, and the results must not move.
+// segments (the binary format), as text records in the DFS (the
+// paper-faithful Hadoop baseline) and as in-memory records returns
+// byte-identical results for every algorithm, planned and unplanned, and
+// those results equal the brute-force oracle core.NaiveCentralized. The
+// format changes how records reach the map phase — column blocks fetched
+// by zone-map offset versus parsed text lines or in-memory objects — and
+// nothing else. For SPQ3 this also covers the posting-list pushdown:
+// planned queries skip irrelevant feature records via the block
+// dictionary instead of testing them one by one, and the results must not
+// move.
 func TestColumnarMatchesRecordStorageProperty(t *testing.T) {
-	build := func(seg SegmentFormat) *Engine {
-		e := NewEngine(Config{Storage: StorageDFSBinary, Segment: seg, Nodes: 4, BlockSize: 4 << 10, Seed: 9})
-		loadClusteredCorpus(t, e, 4000, 8)
+	dataObjs, feats := clusteredCorpus(4000, 8)
+	build := func(st Storage) *Engine {
+		e := NewEngine(Config{Storage: st, Nodes: 4, BlockSize: 4 << 10, Seed: 9})
+		if err := e.AddData(dataObjs...); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddFeature(feats...); err != nil {
+			t.Fatal(err)
+		}
 		if err := e.Seal(); err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
-	spq3 := build(SegmentCompressed)
-	spq2 := build(SegmentColumnar)
-	spq1 := build(SegmentRecord)
+	spq3 := build(StorageDFSBinary)
+	others := []struct {
+		name, format string
+		e            *Engine
+	}{
+		{"text", "text", build(StorageDFS)},
+		{"memory", "mem", build(StorageMemory)},
+	}
 	if f := spq3.Manifest().Format; f != "spq3" {
-		t.Fatalf("compressed engine sealed as %q", f)
+		t.Fatalf("binary engine sealed as %q", f)
 	}
-	if f := spq2.Manifest().Format; f != "spq2" {
-		t.Fatalf("columnar engine sealed as %q", f)
+	for _, o := range others {
+		if f := o.e.Manifest().Format; f != o.format {
+			t.Fatalf("%s engine sealed as %q", o.name, f)
+		}
 	}
-	if f := spq1.Manifest().Format; f != "seq" {
-		t.Fatalf("record engine sealed as %q", f)
+
+	// The oracle scores the raw objects with the engine's keyword ids.
+	var objs []data.Object
+	for _, d := range dataObjs {
+		objs = append(objs, data.Object{Kind: data.DataObject, ID: d.ID, Loc: geo.Point{X: d.X, Y: d.Y}})
+	}
+	for _, f := range feats {
+		objs = append(objs, toFeatureObject(f, spq3.dict))
 	}
 
 	queries := []Query{
@@ -44,39 +69,39 @@ func TestColumnarMatchesRecordStorageProperty(t *testing.T) {
 		{K: 2, Radius: 0.05, Keywords: []string{"zzz-out-of-vocabulary"}},
 	}
 	for qi, q := range queries {
+		oracle := toResults(core.NaiveCentralized(objs, core.Query{
+			K: q.K, Radius: q.Radius, Keywords: spq3.dict.LookupAll(q.Keywords)}))
 		for _, alg := range Algorithms() {
 			for _, planned := range []bool{false, true} {
-				opts := []QueryOption{WithAlgorithm(alg), WithGrid(9), WithoutCache()}
+				opts := []QueryOption{WithAlgorithm(alg), WithGrid(9), WithCache(false)}
 				if planned {
 					opts = append(opts, WithAutoPlan())
-				}
-				want, err := spq1.Query(q, opts...)
-				if err != nil {
-					t.Fatalf("q%d %v planned=%v spq1: %v", qi, alg, planned, err)
-				}
-				got2, err := spq2.Query(q, opts...)
-				if err != nil {
-					t.Fatalf("q%d %v planned=%v spq2: %v", qi, alg, planned, err)
-				}
-				if !resultsEqual(want, got2) {
-					t.Errorf("q%d %v planned=%v: spq2 differs\nspq1: %+v\nspq2: %+v",
-						qi, alg, planned, want, got2)
 				}
 				got3, err := spq3.Query(q, opts...)
 				if err != nil {
 					t.Fatalf("q%d %v planned=%v spq3: %v", qi, alg, planned, err)
 				}
-				if !resultsEqual(want, got3) {
-					t.Errorf("q%d %v planned=%v: spq3 differs\nspq1: %+v\nspq3: %+v",
-						qi, alg, planned, want, got3)
+				if !resultsEqual(got3, oracle) {
+					t.Errorf("q%d %v planned=%v: spq3 differs from the oracle\nspq3:   %+v\noracle: %+v",
+						qi, alg, planned, got3, oracle)
+				}
+				for _, o := range others {
+					got, err := o.e.Query(q, opts...)
+					if err != nil {
+						t.Fatalf("q%d %v planned=%v %s: %v", qi, alg, planned, o.name, err)
+					}
+					if !resultsEqual(got3, got) {
+						t.Errorf("q%d %v planned=%v: spq3 differs from %s\nspq3: %+v\n%s: %+v",
+							qi, alg, planned, o.name, got3, o.name, got)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestColumnarBlockPruningAndCache checks the two things only SPQ2 can do:
-// prune inside cells (spq.plan.blocks.pruned > 0 on a selective query) and
+// TestColumnarBlockPruningAndCache checks the two things only columnar
+// storage can do: prune inside cells (spq.plan.blocks.pruned > 0 on a selective query) and
 // serve repeats from the decoded-segment cache.
 func TestColumnarBlockPruningAndCache(t *testing.T) {
 	e := NewEngine(Config{Storage: StorageDFSBinary, Nodes: 4, Seed: 7})
@@ -86,7 +111,7 @@ func TestColumnarBlockPruningAndCache(t *testing.T) {
 	}
 
 	q := Query{K: 5, Radius: 0.02, Keywords: []string{"c1-kw5"}}
-	rep, err := e.QueryReport(q, WithAutoPlan(), WithoutCache())
+	rep, err := e.QueryReport(q, WithAutoPlan(), WithCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +144,7 @@ func TestColumnarBlockPruningAndCache(t *testing.T) {
 	if before.Misses == 0 || before.Hits != 0 {
 		t.Fatalf("cold segment cache stats: %+v", before)
 	}
-	rep2, err := e.QueryReport(q, WithAutoPlan(), WithoutCache())
+	rep2, err := e.QueryReport(q, WithAutoPlan(), WithCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +166,7 @@ func TestColumnarBlockPruningAndCache(t *testing.T) {
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.QueryReport(q, WithAutoPlan(), WithoutCache()); err != nil {
+	if _, err := e.QueryReport(q, WithAutoPlan(), WithCache(false)); err != nil {
 		t.Fatal(err)
 	}
 	final := e.SegmentCacheStats()

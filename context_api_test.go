@@ -7,7 +7,6 @@ package spq
 import (
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -176,42 +175,24 @@ func TestInvalidQueryTaxonomy(t *testing.T) {
 	}
 }
 
-// TestWithCacheDeltaRedesign: the boolean options are equivalent to the
-// deprecated WithoutCache/WithoutDelta, and Report.Options reflects what
-// actually applied.
+// TestWithCacheDeltaRedesign: Report.Options reflects what the boolean
+// options actually applied.
 func TestWithCacheDeltaRedesign(t *testing.T) {
 	e := contextTestEngine(t, Config{Storage: StorageMemory, Seed: 11})
 	defer e.Close()
 	q := contextTestQuery(t, e)
 
-	base, err := e.QueryReport(q, WithoutCache())
-	if err != nil {
-		t.Fatal(err)
-	}
 	viaBool, err := e.QueryReport(q, WithCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(base.Results, viaBool.Results) {
-		t.Fatal("WithCache(false) results differ from WithoutCache()")
-	}
 	if opt := viaBool.Options(); opt.Cache {
 		t.Fatal("WithCache(false) report claims cache participation")
 	}
-	if opt := base.Options(); opt.Cache {
-		t.Fatal("WithoutCache() report claims cache participation")
-	}
 
-	delta1, err := e.QueryReport(q, WithoutDelta(), WithoutCache())
-	if err != nil {
-		t.Fatal(err)
-	}
 	delta2, err := e.QueryReport(q, WithDelta(false), WithCache(false))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(delta1.Results, delta2.Results) {
-		t.Fatal("WithDelta(false) results differ from WithoutDelta()")
 	}
 	if opt := delta2.Options(); opt.Delta {
 		t.Fatal("WithDelta(false) report claims delta visibility")

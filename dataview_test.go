@@ -13,14 +13,13 @@ import (
 // (generation, grid) alone, so delta-free queries with different keywords
 // — and therefore different pruned data-block selections — that land on
 // the same planner grid reuse one view built over all the generation's
-// data blocks. Results stay identical to the view-less record-segment
-// path and to the brute-force oracle for every algorithm and scoring
-// mode.
+// data blocks. Results stay identical to the view-less text storage path
+// and to the brute-force oracle for every algorithm and scoring mode.
 func TestDataViewSharedAcrossKeywordSets(t *testing.T) {
 	const n, clusters = 6000, 6
 	dataObjs, feats := clusteredCorpus(n, clusters)
-	load := func(seg SegmentFormat) *Engine {
-		e := NewEngine(Config{Storage: StorageDFSBinary, Segment: seg, Nodes: 4, BlockSize: 4 << 10, Seed: 9})
+	load := func(st Storage) *Engine {
+		e := NewEngine(Config{Storage: st, Nodes: 4, BlockSize: 4 << 10, Seed: 9})
 		if err := e.AddData(dataObjs...); err != nil {
 			t.Fatal(err)
 		}
@@ -32,12 +31,12 @@ func TestDataViewSharedAcrossKeywordSets(t *testing.T) {
 		}
 		return e
 	}
-	ev := load(SegmentCompressed)
-	ref := load(SegmentRecord)
+	ev := load(StorageDFSBinary)
+	ref := load(StorageDFS)
 	defer ev.Close()
 	defer ref.Close()
 	if ref.viewCache != nil {
-		t.Fatal("record segments must not use data views")
+		t.Fatal("text storage must not use data views")
 	}
 
 	// Keyword sets local to two different clusters: each plan keeps a
@@ -104,7 +103,7 @@ func TestDataViewSharedAcrossKeywordSets(t *testing.T) {
 				t.Fatalf("%v %v %v: no results", kws, rn.alg, rn.mode)
 			}
 			if !resultsEqual(got, want) {
-				t.Errorf("%v %v %v: view path differs from record segments\nview:   %+v\nrecord: %+v", kws, rn.alg, rn.mode, got, want)
+				t.Errorf("%v %v %v: view path differs from text storage\nview: %+v\ntext: %+v", kws, rn.alg, rn.mode, got, want)
 			}
 			oracle := toResults(core.NaiveCentralized(objs, core.Query{
 				K: q.K, Radius: q.Radius, Keywords: ev.dict.InternAll(kws), Mode: q.Mode}))

@@ -33,39 +33,15 @@ const (
 	// through an in-memory source. Faster, and sufficient when only the
 	// algorithms (not the storage substrate) matter.
 	StorageMemory
-	// StorageDFSBinary stores objects in a binary format instead of text
-	// lines. By default this is the SPQ3 compressed columnar segment
-	// format: each sealed cell is written as density-sized column blocks
-	// with per-block zone maps (bounding box, record count, keyword bloom)
-	// in the manifest, so the query planner prunes inside cells and the
-	// reader decodes only surviving blocks — straight into dense,
-	// cache-shared column buffers. Config.Segment selects the uncompressed
-	// SPQ2 columnar format or the legacy SPQ1 record format
-	// (length-prefixed records with sync markers) instead; both stay fully
-	// readable and return identical query results.
+	// StorageDFSBinary stores objects in the SPQ3 compressed columnar
+	// segment format instead of text lines: each sealed cell is written as
+	// density-sized column blocks (delta-varint ids, xor-delta bit-packed
+	// coordinates, dictionary-coded keyword postings) with per-block zone
+	// maps (bounding box, record count, keyword bloom) in the manifest, so
+	// the query planner prunes inside cells and the reader decodes only
+	// surviving blocks — straight into dense, cache-shared column buffers.
+	// Query results are identical to StorageDFS and StorageMemory.
 	StorageDFSBinary
-)
-
-// SegmentFormat selects the record layout of binary sealed storage
-// (StorageDFSBinary).
-type SegmentFormat int
-
-// The binary segment formats.
-const (
-	// SegmentCompressed is the SPQ3 compressed columnar format: per-cell
-	// segments of column blocks (delta-varint ids, xor-delta bit-packed
-	// coordinates, dictionary-coded keyword postings) sized adaptively
-	// from cell density, with block-level zone maps in the manifest. The
-	// default.
-	SegmentCompressed SegmentFormat = iota
-	// SegmentRecord is the legacy SPQ1 record format, modeled after
-	// Hadoop's SequenceFile. Kept for compatibility; reads decode record
-	// at a time and prune only at whole-cell granularity.
-	SegmentRecord
-	// SegmentColumnar is the SPQ2 uncompressed columnar format: raw
-	// struct-of-arrays column blocks of ~2K records each. Shares the
-	// zone-map pruning and segment-cache stack with SPQ3.
-	SegmentColumnar
 )
 
 // Per-query segment I/O counters, emitted by columnar storage modes
@@ -121,11 +97,6 @@ type Config struct {
 	// batch and compaction — and evicted LRU. Zero selects
 	// DefaultQueryCacheSize; a negative value disables caching entirely.
 	QueryCache int
-	// Segment selects the record layout of binary sealed storage
-	// (StorageDFSBinary): the SPQ3 compressed columnar format (default),
-	// the SPQ2 uncompressed columnar format, or the legacy SPQ1 record
-	// format. Ignored by the other storage modes.
-	Segment SegmentFormat
 	// SegmentCache bounds the engine's decoded-segment cache, in bytes of
 	// decoded columns. Columnar reads check it before touching storage: a
 	// hot block — clustered query traffic revisiting the same cells —
@@ -327,7 +298,7 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.QueryCache > 0 {
 		e.cache = newQueryCache(cfg.QueryCache)
 	}
-	if cfg.Storage == StorageDFSBinary && cfg.Segment != SegmentRecord {
+	if cfg.Storage == StorageDFSBinary {
 		if cfg.SegmentCache >= 0 {
 			e.segCache = data.NewBlockCache(int64(cfg.SegmentCache))
 		}
@@ -692,14 +663,7 @@ func (e *Engine) writeGenerationLocked(objs []data.Object, sealGridN int) error 
 	case StorageDFS, StorageDFSBinary:
 		format := data.FormatText
 		if e.cfg.Storage == StorageDFSBinary {
-			switch e.cfg.Segment {
-			case SegmentRecord:
-				format = data.FormatBinary
-			case SegmentColumnar:
-				format = data.FormatColumnar
-			default:
-				format = data.FormatCompressed
-			}
+			format = data.FormatCompressed
 		}
 		man, err := parts.SealDFS(e.fs, prefix, e.dict, format)
 		if err != nil {
@@ -807,9 +771,7 @@ func (e *Engine) source(s *snapshot, files []string, cols []data.ColSel, io *dat
 		return mapreduce.Coalesce[data.Object](mapreduce.NewTextInput(e.fs, func(line []byte) (data.Object, error) {
 			return data.ParseLine(line, e.dict)
 		}, files...), target)
-	case data.FormatBinary:
-		return mapreduce.Coalesce[data.Object](data.NewSeqInput(e.fs, files...), target)
-	case data.FormatColumnar, data.FormatCompressed:
+	case data.FormatCompressed:
 		in := data.NewColInput(e.fs, cols, e.segCache, s.manifest.Generation)
 		in.IO = io
 		in.Keywords = kws
@@ -963,7 +925,7 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 	// everything by default, narrowed by the planner below. Data and
 	// feature selections stay separate so delta-free queries can route the
 	// data half through the cached per-grid view instead of the shuffle.
-	columnar := data.IsColumnar(snap.manifest.Format) && e.viewCache != nil
+	columnar := e.viewCache != nil
 	var colsData, colsFeat []data.ColSel
 	if columnar {
 		colsData = selectCells(snap.manifest.Data, nil)

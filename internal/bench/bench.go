@@ -53,24 +53,11 @@ type Config struct {
 	// fastest (default 1). Use 3+ when comparing against a committed
 	// BENCH_*.json trajectory file, to factor out scheduler and GC noise.
 	Repeat int
-	// Legacy routes the query figures through the pre-SPQ2 path: an
-	// unplanned full scan of the in-memory object slice, the measurement
-	// every BENCH_*.json up to PR 2 recorded. The default (false) measures
-	// the modern serving path instead: datasets sealed once as SPQ2
-	// columnar segments, each query planned against the block zone maps
-	// and executed over the surviving blocks through the decoded-segment
-	// cache.
-	Legacy bool
 	// Verify proves result identity for every measured figure cell: the
-	// planned columnar execution is re-run against the legacy full-scan
+	// planned columnar execution is re-run against the unplanned full-scan
 	// reference and the ranked results must match exactly. Rows carry
-	// "verified": true in the JSON output. No-op under Legacy.
+	// "verified": true in the JSON output.
 	Verify bool
-	// Segment selects the columnar segment format datasets are sealed in:
-	// data.FormatCompressed (SPQ3, the default) or data.FormatColumnar
-	// (SPQ2). Running the same sweep under both formats compares their
-	// latency and seg_bytes_* counters on identical workloads.
-	Segment string
 }
 
 func (c Config) withDefaults() Config {
@@ -88,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReduceSlots <= 0 {
 		c.ReduceSlots = runtime.NumCPU()
-	}
-	if c.Segment == "" {
-		c.Segment = data.FormatCompressed
 	}
 	return c
 }
@@ -120,7 +104,7 @@ type Cell struct {
 	MapMillis    float64
 	ReduceMillis float64
 	// Planner and decoded-segment-cache activity of the planned columnar
-	// path; all zero under Config.Legacy.
+	// path; all zero on the full-scan reference path.
 	BlocksScanned      int64
 	BlocksPruned       int64
 	PlanRecordsSkipped int64
@@ -130,12 +114,12 @@ type Cell struct {
 	// stored size of the blocks the plan selected (deterministic);
 	// SegBytesRead/SegBytesDecoded are the cold-pass storage reads and
 	// their decoded size (the maximum across repeats — warm repeats read
-	// nothing). All zero under Config.Legacy.
+	// nothing). All zero on the full-scan reference path.
 	SegBytesRead     int64
 	SegBytesDecoded  int64
 	SegBytesSelected int64
 	// Verified records that this cell's results were proven identical to
-	// the legacy full-scan reference (Config.Verify).
+	// the full-scan reference (Config.Verify).
 	Verified bool
 }
 
@@ -239,7 +223,7 @@ func (f *Figure) WriteCounters(w io.Writer) {
 // merge+reduce — so a storage-format win is attributable: a format change
 // moves map_millis (and the seg_cache_* / blocks_* counters), a scoring
 // change moves reduce_millis. Verified marks rows whose results were
-// proven identical to the legacy full-scan reference.
+// proven identical to the full-scan reference.
 type Row struct {
 	Figure       string           `json:"figure"`
 	Series       string           `json:"series"`
@@ -318,12 +302,11 @@ type Harness struct {
 	// read-only for jobs, and materializing 100k+ objects per measured run
 	// would charge allocation and GC time to every figure point.
 	objCache map[*data.Dataset][]data.Object
-	// segCache memoizes the columnar seal of each (dataset, segment
-	// format) — segment store, manifest with block zone maps, decoded-
-	// segment cache — built once, exactly as an engine seals once and
-	// serves many queries. It is a tiny LRU (most recent first): figures
-	// sweep one
-	// dataset at a time, and retaining every family's segments, decoded
+	// segCache memoizes the columnar seal of each dataset — segment
+	// store, manifest with block zone maps, decoded-segment cache — built
+	// once, exactly as an engine seals once and serves many queries. It is
+	// a tiny LRU (most recent first): figures sweep one dataset at a time,
+	// and retaining every family's segments, decoded
 	// blocks and views for the whole 20-figure run would tax the later
 	// figures with GC scans over hundreds of megabytes they never touch.
 	segCache []*segStore
@@ -338,16 +321,15 @@ const maxSegStores = 3
 // matching the engine's default.
 const benchSealGridN = 32
 
-// segStore is one dataset sealed as columnar segments (SPQ2 or SPQ3),
+// segStore is one dataset sealed as SPQ3 columnar segments,
 // with the two read-path caches an engine would hold: decoded column
 // blocks and per-grid data views.
 type segStore struct {
-	ds     *data.Dataset
-	format string
-	store  data.MemSegStore
-	man    *data.Manifest
-	cache  *data.BlockCache
-	views  *core.ViewCache
+	ds    *data.Dataset
+	store data.MemSegStore
+	man   *data.Manifest
+	cache *data.BlockCache
+	views *core.ViewCache
 }
 
 // New creates a harness.
@@ -361,14 +343,13 @@ func New(cfg Config) *Harness {
 	}
 }
 
-// segStore returns the dataset's cached columnar seal in the configured
-// segment format, sealing on first use. The block cache budget comfortably
-// holds every decoded block of a bench dataset — the steady serving state
-// of an engine whose working set fits its cache.
+// segStore returns the dataset's cached columnar seal, sealing on first
+// use. The block cache budget comfortably holds every decoded block of a
+// bench dataset — the steady serving state of an engine whose working set
+// fits its cache.
 func (h *Harness) segStore(ds *data.Dataset) (*segStore, error) {
-	format := h.cfg.Segment
 	for i, st := range h.segCache {
-		if st.ds == ds && st.format == format {
+		if st.ds == ds {
 			if i != 0 {
 				copy(h.segCache[1:i+1], h.segCache[:i])
 				h.segCache[0] = st
@@ -378,11 +359,11 @@ func (h *Harness) segStore(ds *data.Dataset) (*segStore, error) {
 	}
 	g := grid.New(ds.Bounds(), benchSealGridN, benchSealGridN)
 	store := data.MemSegStore{}
-	man, err := data.PartitionObjects(g, h.objects(ds)).SealSegments(store, "bench", ds.Dict, 0, format)
+	man, err := data.PartitionObjects(g, h.objects(ds)).SealSegments(store, "bench", ds.Dict, 0)
 	if err != nil {
 		return nil, fmt.Errorf("bench: seal %s: %w", ds.Spec.Name, err)
 	}
-	st := &segStore{ds: ds, format: format, store: store, man: man,
+	st := &segStore{ds: ds, store: store, man: man,
 		cache: data.NewBlockCache(1 << 30), views: core.NewViewCache(0)}
 	h.segCache = append([]*segStore{st}, h.segCache...)
 	if len(h.segCache) > maxSegStores {
@@ -486,20 +467,10 @@ func selBytes(sels []data.ColSel) int64 {
 	return n
 }
 
-// runOne executes one algorithm on one workload configuration and collects
-// the measured cell: the planned columnar serving path by default, the
-// pre-SPQ2 full scan under Config.Legacy.
-func (h *Harness) runOne(ds *data.Dataset, alg core.Algorithm, q core.Query, gridN int) (Cell, error) {
-	if h.cfg.Legacy {
-		return h.runLegacy(ds, alg, q, gridN)
-	}
-	return h.runPlanned(ds, alg, q, gridN)
-}
-
-// runLegacy measures the unplanned full scan over the in-memory object
+// runFullScan measures the unplanned full scan over the in-memory object
 // slice — the measurement every BENCH_*.json up to PR 2 recorded, and the
 // reference results Verify compares against.
-func (h *Harness) runLegacy(ds *data.Dataset, alg core.Algorithm, q core.Query, gridN int) (Cell, error) {
+func (h *Harness) runFullScan(ds *data.Dataset, alg core.Algorithm, q core.Query, gridN int) (Cell, error) {
 	cell, _, err := h.measure(func() (*core.Report, error) {
 		return h.runReference(ds, alg, q, gridN)
 	})
@@ -516,10 +487,10 @@ func (h *Harness) runReference(ds *data.Dataset, alg core.Algorithm, q core.Quer
 	})
 }
 
-// runPlanned measures the modern serving path: the query is planned
-// against the dataset's SPQ2 block zone maps, executed over the surviving
-// blocks through the decoded-segment cache, with the planner's reducer
-// choice. The figure's swept grid still overrides the query-time grid, so
+// runPlanned measures the serving path every figure cell reports: the
+// query is planned against the dataset's SPQ3 block zone maps, executed
+// over the surviving blocks through the decoded-segment cache, with the
+// planner's reducer choice. The figure's swept grid still overrides the query-time grid, so
 // the x-axis keeps its meaning.
 func (h *Harness) runPlanned(ds *data.Dataset, alg core.Algorithm, q core.Query, gridN int) (Cell, error) {
 	st, err := h.segStore(ds)
@@ -798,7 +769,7 @@ func (h *Harness) gridSweep(id, family string, size int, grids []int, algs []cor
 	for _, g := range h.trim(grids) {
 		q := h.defaultQuery(ds, g, defaultKeywords, defaultRadiusPc, defaultK, 42)
 		for _, alg := range algs {
-			cell, err := h.runOne(ds, alg, q, g)
+			cell, err := h.runPlanned(ds, alg, q, g)
 			if err != nil {
 				return nil, err
 			}
@@ -815,7 +786,7 @@ func (h *Harness) keywordSweep(id, family string, size, gridN int, kws []int, al
 	for _, nk := range h.trim(kws) {
 		q := h.defaultQuery(ds, gridN, nk, defaultRadiusPc, defaultK, 42)
 		for _, alg := range algs {
-			cell, err := h.runOne(ds, alg, q, gridN)
+			cell, err := h.runPlanned(ds, alg, q, gridN)
 			if err != nil {
 				return nil, err
 			}
@@ -832,7 +803,7 @@ func (h *Harness) radiusSweep(id, family string, size, gridN int, pcts []int, al
 	for _, pc := range h.trim(pcts) {
 		q := h.defaultQuery(ds, gridN, defaultKeywords, pc, defaultK, 42)
 		for _, alg := range algs {
-			cell, err := h.runOne(ds, alg, q, gridN)
+			cell, err := h.runPlanned(ds, alg, q, gridN)
 			if err != nil {
 				return nil, err
 			}
@@ -849,7 +820,7 @@ func (h *Harness) topkSweep(id, family string, size, gridN int, ks []int, algs [
 	for _, k := range h.trim(ks) {
 		q := h.defaultQuery(ds, gridN, defaultKeywords, defaultRadiusPc, k, 42)
 		for _, alg := range algs {
-			cell, err := h.runOne(ds, alg, q, gridN)
+			cell, err := h.runPlanned(ds, alg, q, gridN)
 			if err != nil {
 				return nil, err
 			}
@@ -868,7 +839,7 @@ func (h *Harness) scalability(id string) (*Figure, error) {
 		ds := h.dataset("UN", mult*h.cfg.ScaleUnit)
 		q := h.defaultQuery(ds, defaultGridSyn, defaultKeywords, defaultRadiusPc, defaultK, 42)
 		for _, alg := range core.Algorithms() {
-			cell, err := h.runOne(ds, alg, q, defaultGridSyn)
+			cell, err := h.runPlanned(ds, alg, q, defaultGridSyn)
 			if err != nil {
 				return nil, err
 			}
@@ -888,7 +859,7 @@ func (h *Harness) duplicationFactor(id string) (*Figure, error) {
 		q := h.defaultQuery(ds, g, defaultKeywords, pc, defaultK, 42)
 		// The duplication-factor model validates against the full unpruned
 		// map input; pruning would change the measured duplicates.
-		cell, err := h.runLegacy(ds, core.PSPQ, q, g)
+		cell, err := h.runFullScan(ds, core.PSPQ, q, g)
 		if err != nil {
 			return nil, err
 		}

@@ -102,7 +102,7 @@ func TestEarlyTerminationLargeGainWhenDense(t *testing.T) {
 	q := h.defaultQuery(ds, gridN, defaultKeywords, defaultRadiusPc, defaultK, 42)
 	examined := map[core.Algorithm]int64{}
 	for _, alg := range core.Algorithms() {
-		cell, err := h.runOne(ds, alg, q, gridN)
+		cell, err := h.runPlanned(ds, alg, q, gridN)
 		if err != nil {
 			t.Fatal(err)
 		}

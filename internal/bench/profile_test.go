@@ -24,15 +24,15 @@ func BenchmarkPlannedClusteredQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkLegacyClusteredQuery is the same point on the legacy full-scan
-// path, for comparison.
+// BenchmarkLegacyClusteredQuery is the same point on the unplanned
+// full-scan reference path, for comparison.
 func BenchmarkLegacyClusteredQuery(b *testing.B) {
-	h := New(Config{MapSlots: 4, ReduceSlots: 4, Legacy: true})
+	h := New(Config{MapSlots: 4, ReduceSlots: 4})
 	ds := h.dataset("CL", h.cfg.SizeSynthetic)
 	q := h.defaultQuery(ds, defaultGridSyn, defaultKeywords, defaultRadiusPc, defaultK, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.runLegacy(ds, core.ESPQSco, q, defaultGridSyn); err != nil {
+		if _, err := h.runFullScan(ds, core.ESPQSco, q, defaultGridSyn); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,13 +8,12 @@ import (
 	"sort"
 )
 
-// SPQ3 compressed columnar cell segments. The framing (varint length +
-// payload + CRC32) and the decoded in-memory form (ColumnBlock) are shared
-// with SPQ2; only the block payload changes. Where SPQ2 stores raw
-// little-endian columns, SPQ3 compresses each one:
+// The SPQ3 column block payload: the bytes one segment frame (colseg.go)
+// carries between its length prefix and its CRC. Each column is stored
+// compressed:
 //
-//   - ids: zigzag-varint deltas from the previous id, exactly as SPQ2.
-//     Seal order sorts ids within a cell, so deltas are small.
+//   - ids: zigzag-varint deltas from the previous id. Seal order sorts ids
+//     within a cell, so deltas are small.
 //   - coordinates: lossless xor-delta bit-packing. Each float64's bits are
 //     XORed with the previous value's bits; the block-wide OR of the
 //     deltas determines a common (trailing-zero count, significant width)
@@ -31,7 +30,7 @@ import (
 //
 // Block payload layout (all varints unsigned LEB128 unless noted):
 //
-//	version  byte      '3' (distinguishes SPQ3 from SPQ2's 'D'/'F' kinds)
+//	version  byte      '3'
 //	kind     byte      'D' or 'F'
 //	count    uvarint   records in the block (>= 1)
 //	ids      count zigzag varints, delta-coded from the previous id
@@ -46,19 +45,16 @@ import (
 //	              first raw, then strictly ascending deltas, all < count
 //	        if 1: ceil(count/8) bytes, bit i set = record i has the keyword
 //
-// The decoder enforces every structural invariant (windows within 64
-// bits, ascending dictionaries and postings, bitmap tail bits clear, no
-// trailing bytes) and bounds every allocation by the payload size, so
-// corrupt input errors out rather than panicking or ballooning memory.
+// The decoder enforces every structural invariant (a known version byte,
+// windows within 64 bits, ascending dictionaries and postings, bitmap
+// tail bits clear, no trailing bytes) and bounds every allocation by the
+// payload size, so corrupt input errors out rather than panicking or
+// ballooning memory.
 
-// col3Magic identifies an SPQ3 segment file. Readers never dispatch on
-// the file header (blocks are self-describing), but the magic keeps
-// segment files identifiable on disk.
-var col3Magic = [4]byte{'S', 'P', 'Q', '3'}
-
-// col3Version is the payload version byte. It must stay distinct from the
-// SPQ2 kind bytes 'D' and 'F' — DecodeColBlock dispatches on it.
-const col3Version = '3'
+// colVersion is the payload version byte. Any other leading byte —
+// including the 'D'/'F' kind byte that opened the retired uncompressed
+// SPQ2 payloads — is rejected as corrupt.
+const colVersion = '3'
 
 // Adaptive block sizing: the block is the pruning and decode granule, so
 // its ideal size follows cell density. Sparse cells want small blocks
@@ -71,7 +67,7 @@ const (
 	colMaxBlockRecords = 4096
 )
 
-// AdaptiveBlockRecords returns the SPQ3 block size, in records, for a
+// AdaptiveBlockRecords returns the block size, in records, for a
 // cell holding cellRecords objects.
 func AdaptiveBlockRecords(cellRecords int) int {
 	if cellRecords <= 0 {
@@ -102,8 +98,9 @@ func (b *ColumnBlock) MemBytes() int {
 		4*len(b.Dict) + 4*len(b.PostOff) + 4*len(b.PostRecs)
 }
 
-// encodeCol3Block renders objs as one SPQ3 block payload.
-func encodeCol3Block(buf *bytes.Buffer, kind Kind, objs []Object) {
+// encodeColBlock renders objs as one block payload. Writes to a
+// bytes.Buffer cannot fail, so encoding is infallible.
+func encodeColBlock(buf *bytes.Buffer, kind Kind, objs []Object) {
 	var tmp [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) {
 		n := binary.PutUvarint(tmp[:], v)
@@ -113,7 +110,7 @@ func encodeCol3Block(buf *bytes.Buffer, kind Kind, objs []Object) {
 		n := binary.PutVarint(tmp[:], v)
 		buf.Write(tmp[:n])
 	}
-	buf.WriteByte(col3Version)
+	buf.WriteByte(colVersion)
 	buf.WriteByte(colKindByte(kind))
 	putUvarint(uint64(len(objs)))
 	prev := uint64(0)
@@ -268,11 +265,21 @@ func unpackXorColumn(r *byteReaderSlice, count int, out []float64) error {
 	return nil
 }
 
-// decodeCol3Block decodes one SPQ3 payload; r is positioned just past the
-// version byte. Shares DecodeColBlock's contract: corrupt input returns an
-// error, never panics, and never allocates beyond a small multiple of the
-// payload size.
-func decodeCol3Block(payload []byte, r *byteReaderSlice) (*ColumnBlock, error) {
+// DecodeColBlock decodes one block payload (the bytes between the frame's
+// length prefix and its CRC). Every structural violation — an unknown
+// version byte, truncation, impossible counts, unsorted keyword sets,
+// trailing garbage — returns an error; malformed input can never panic,
+// silently yield objects, or allocate beyond a small multiple of the
+// payload size. This is the fuzzing boundary of the format.
+func DecodeColBlock(payload []byte) (*ColumnBlock, error) {
+	r := &byteReaderSlice{buf: payload}
+	version, err := r.ReadByte()
+	if err != nil {
+		return nil, errCorrupt("missing version byte")
+	}
+	if version != colVersion {
+		return nil, errCorrupt("unknown version byte %#x", version)
+	}
 	kindByte, err := r.ReadByte()
 	if err != nil {
 		return nil, errCorrupt("missing kind byte")
@@ -322,7 +329,7 @@ func decodeCol3Block(payload []byte, r *byteReaderSlice) (*ColumnBlock, error) {
 		return nil, err
 	}
 	if kind == FeatureObject {
-		if err := decodeCol3Keywords(payload, r, count, b); err != nil {
+		if err := decodeColKeywords(payload, r, count, b); err != nil {
 			return nil, err
 		}
 	}
@@ -332,9 +339,9 @@ func decodeCol3Block(payload []byte, r *byteReaderSlice) (*ColumnBlock, error) {
 	return b, nil
 }
 
-// decodeCol3Keywords decodes the dictionary and posting lists of a
+// decodeColKeywords decodes the dictionary and posting lists of a
 // feature block and inverts them into the per-record KwOff/Kws columns.
-func decodeCol3Keywords(payload []byte, r *byteReaderSlice, count int, b *ColumnBlock) error {
+func decodeColKeywords(payload []byte, r *byteReaderSlice, count int, b *ColumnBlock) error {
 	dictLen64, err := binary.ReadUvarint(r)
 	if err != nil {
 		return errCorrupt("dictionary length: %v", err)

@@ -2,6 +2,8 @@ package data
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,22 +14,8 @@ import (
 	"spq/internal/text"
 )
 
-// writeSegment3 seals objs (single kind) as one in-memory SPQ3 segment.
-func writeSegment3(t *testing.T, objs []Object, blockRecords int, dict *text.Dict) ([]byte, []BlockStats) {
-	t.Helper()
-	var buf bytes.Buffer
-	cw := NewCol3Writer(&buf, objs[0].Kind, dict, blockRecords)
-	for _, o := range objs {
-		if err := cw.Append(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), cw.Stats()
-}
-
+// TestCol3SegmentRoundTrip: every record decodes back exactly, in order,
+// for both kinds and block sizes from one record to the whole cell.
 func TestCol3SegmentRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	dict := text.NewDict()
@@ -35,7 +23,7 @@ func TestCol3SegmentRoundTrip(t *testing.T) {
 	for _, kind := range []Kind{DataObject, FeatureObject} {
 		for _, blockRecords := range []int{1, 7, 256, 100000} {
 			objs := onlyKind(all, kind)
-			raw, stats := writeSegment3(t, objs, blockRecords, dict)
+			raw, stats := writeSegment(t, objs, blockRecords, dict)
 
 			wantBlocks := (len(objs) + blockRecords - 1) / blockRecords
 			if len(stats) != wantBlocks {
@@ -52,18 +40,7 @@ func TestCol3SegmentRoundTrip(t *testing.T) {
 						kind, blockRecords, i, b.Len(), bs.Records)
 				}
 				for j := 0; j < b.Len(); j++ {
-					o := b.Object(j)
-					if !bs.Bounds.Contains(o.Loc) {
-						t.Fatalf("%v/%d: block %d object %d outside the zone-map bounds", kind, blockRecords, i, o.ID)
-					}
-					if kind == FeatureObject {
-						for _, w := range dict.Words(o.Keywords) {
-							if !bs.Keywords.MayContain(w) {
-								t.Fatalf("%v/%d: block %d bloom misses keyword %q", kind, blockRecords, i, w)
-							}
-						}
-					}
-					back = append(back, o)
+					back = append(back, b.Object(j))
 				}
 			}
 			if len(back) != len(objs) {
@@ -79,9 +56,9 @@ func TestCol3SegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCol3SegmentSmaller pins the point of the format: on sorted,
-// spatially clustered cells the SPQ3 encoding is strictly smaller than
-// the raw SPQ2 columns.
+// TestCol3SegmentSmaller pins the point of the compression: on sorted,
+// spatially clustered cells the SPQ3 segment is strictly smaller than the
+// same blocks stored as raw columns (the retired SPQ2 layout).
 func TestCol3SegmentSmaller(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	dict := text.NewDict()
@@ -97,46 +74,52 @@ func TestCol3SegmentSmaller(t *testing.T) {
 				uint32(r.Intn(40)), uint32(40+r.Intn(40)), uint32(80+r.Intn(40))),
 		}
 	}
-	raw2, _ := writeSegment(t, objs, 512, dict)
-	raw3, _ := writeSegment3(t, objs, 512, dict)
-	if len(raw3) >= len(raw2) {
-		t.Fatalf("SPQ3 segment (%d bytes) not smaller than SPQ2 (%d bytes)", len(raw3), len(raw2))
+	raw3, _ := writeSegment(t, objs, 512, dict)
+	raw2 := len(colMagic) + 1
+	for i := 0; i < len(objs); i += 512 {
+		raw2 += len(frameOf(spq2Payload(FeatureObject, objs[i:min(i+512, len(objs))])))
+	}
+	if len(raw3) >= raw2 {
+		t.Fatalf("SPQ3 segment (%d bytes) not smaller than raw columns (%d bytes)", len(raw3), raw2)
 	}
 }
 
-// TestCol3SegmentRejectsCorruption mirrors the SPQ2 corruption test for
-// the compressed payloads: flips, truncations and misalignment must all
-// error, never panic.
+// TestCol3SegmentRejectsCorruption: payloads behind a valid CRC must
+// still be structurally valid SPQ3 — truncated or extended payloads, an
+// unknown version byte, and the retired SPQ2 'D'/'F' payloads all return
+// the corrupt-block error, never a panic or objects.
 func TestCol3SegmentRejectsCorruption(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	dict := text.NewDict()
-	objs := onlyKind(randObjects(r, 300), FeatureObject)
-	raw, stats := writeSegment3(t, objs, 64, dict)
-	bs := stats[1]
-	frame := raw[bs.Offset : bs.Offset+int64(bs.Length)]
-
-	if _, err := DecodeColFrame(frame); err != nil {
-		t.Fatalf("pristine frame rejected: %v", err)
-	}
-	for n := 0; n < len(frame); n++ {
-		if _, err := DecodeColFrame(frame[:n]); err == nil {
-			t.Fatalf("truncation to %d of %d bytes accepted", n, len(frame))
+	all := randObjects(r, 300)
+	for _, kind := range []Kind{DataObject, FeatureObject} {
+		objs := onlyKind(all, kind)
+		raw, stats := writeSegment(t, objs, 64, dict)
+		bs := stats[1]
+		frame := raw[bs.Offset : bs.Offset+int64(bs.Length)]
+		if _, err := DecodeColFrame(frame); err != nil {
+			t.Fatalf("%v: pristine frame rejected: %v", kind, err)
 		}
-	}
-	for i := 0; i < len(frame); i++ {
-		for bit := 0; bit < 8; bit++ {
-			mut := append([]byte(nil), frame...)
-			mut[i] ^= 1 << bit
-			if _, err := DecodeColFrame(mut); err == nil {
-				t.Fatalf("bit flip at byte %d bit %d accepted", i, bit)
+		n, k := binary.Uvarint(frame)
+		payload := frame[k : k+int(n)]
+
+		rejects := func(what string, p []byte) {
+			t.Helper()
+			_, err := DecodeColFrame(frameOf(p))
+			if err == nil || !strings.Contains(err.Error(), "corrupt column block") {
+				t.Fatalf("%v: %s: error %v, want the corrupt-block error", kind, what, err)
 			}
 		}
-	}
-	if _, err := DecodeColFrame(append(append([]byte(nil), frame...), 0xAB)); err == nil {
-		t.Fatal("frame with trailing garbage accepted")
-	}
-	if _, err := DecodeColFrame(raw[bs.Offset+3 : bs.Offset+3+int64(bs.Length)]); err == nil {
-		t.Fatal("misaligned frame accepted")
+		for n := 0; n < len(payload); n++ {
+			rejects(fmt.Sprintf("payload truncated to %d of %d bytes", n, len(payload)), payload[:n])
+		}
+		rejects("trailing payload byte", append(append([]byte(nil), payload...), 0))
+		for _, v := range []byte{0, '2', '4', 'D', 'F'} {
+			mut := append([]byte(nil), payload...)
+			mut[0] = v
+			rejects(fmt.Sprintf("version byte %q", v), mut)
+		}
+		rejects("SPQ2 payload", spq2Payload(kind, objs[64:128])) // block 1's records
 	}
 }
 
@@ -213,7 +196,7 @@ func TestCol3PostingMethods(t *testing.T) {
 			Keywords: text.NewKeywordSet(kws...),
 		}
 	}
-	raw, stats := writeSegment3(t, objs, 0, dict)
+	raw, stats := writeSegment(t, objs, 0, dict)
 	if len(stats) != 1 {
 		t.Fatalf("%d blocks, want 1", len(stats))
 	}
@@ -229,7 +212,7 @@ func TestCol3PostingMethods(t *testing.T) {
 	}
 }
 
-// FuzzCol3BlockRoundTrip drives the SPQ3 encoder with fuzzer-chosen
+// FuzzCol3BlockRoundTrip drives the block encoder with fuzzer-chosen
 // objects and checks encode -> frame -> decode is the identity.
 func FuzzCol3BlockRoundTrip(f *testing.F) {
 	f.Add(uint64(7), 0.25, -3.5, "alpha,beta", true)
@@ -252,7 +235,7 @@ func FuzzCol3BlockRoundTrip(f *testing.F) {
 			{Kind: kind, ID: id/2 + 1, Loc: geo.Point{X: x / 2, Y: y * 2}, Keywords: set},
 		}
 		var buf bytes.Buffer
-		cw := NewCol3Writer(&buf, kind, dict, 0)
+		cw := NewColWriter(&buf, kind, dict, 0)
 		for _, o := range objs {
 			if err := cw.Append(o); err != nil {
 				t.Fatal(err)
@@ -293,7 +276,7 @@ func TestEachRelevant(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	dict := text.NewDict()
 	objs := onlyKind(randObjects(r, 400), FeatureObject)
-	raw, stats := writeSegment3(t, objs, 128, dict)
+	raw, stats := writeSegment(t, objs, 128, dict)
 	for bi, bs := range stats {
 		b, err := DecodeColFrame(raw[bs.Offset : bs.Offset+int64(bs.Length)])
 		if err != nil {

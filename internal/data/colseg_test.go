@@ -2,8 +2,10 @@ package data
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -12,7 +14,7 @@ import (
 	"spq/internal/text"
 )
 
-// writeSegment seals objs (single kind) as one in-memory SPQ2 segment and
+// writeSegment seals objs (single kind) as one in-memory segment and
 // returns the raw bytes plus the block zone maps.
 func writeSegment(t *testing.T, objs []Object, blockRecords int, dict *text.Dict) ([]byte, []BlockStats) {
 	t.Helper()
@@ -29,6 +31,63 @@ func writeSegment(t *testing.T, objs []Object, blockRecords int, dict *text.Dict
 	return buf.Bytes(), cw.Stats()
 }
 
+// frameOf wraps a block payload in its on-disk frame: varint length,
+// payload, CRC32.
+func frameOf(payload []byte) []byte {
+	f := binary.AppendUvarint(nil, uint64(len(payload)))
+	f = append(f, payload...)
+	return binary.LittleEndian.AppendUint32(f, crc32.ChecksumIEEE(payload))
+}
+
+// spq2Payload renders objs in the retired uncompressed SPQ2 block layout:
+// a 'D'/'F' kind byte, the record count, zigzag id deltas, raw
+// little-endian x and y columns and, for features, per-record keyword
+// counts followed by the flat keyword ids. The decoder must reject it;
+// tests use it only as corrupt input.
+func spq2Payload(kind Kind, objs []Object) []byte {
+	b := []byte{colKindByte(kind)}
+	b = binary.AppendUvarint(b, uint64(len(objs)))
+	prev := uint64(0)
+	for _, o := range objs {
+		b = binary.AppendVarint(b, int64(o.ID-prev))
+		prev = o.ID
+	}
+	for _, o := range objs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Loc.X))
+	}
+	for _, o := range objs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Loc.Y))
+	}
+	if kind == FeatureObject {
+		for _, o := range objs {
+			b = binary.AppendUvarint(b, uint64(len(o.Keywords)))
+		}
+		for _, o := range objs {
+			for _, kw := range o.Keywords {
+				b = binary.AppendUvarint(b, uint64(kw))
+			}
+		}
+	}
+	return b
+}
+
+func randObjects(r *rand.Rand, n int) []Object {
+	objs := make([]Object, n)
+	for i := range objs {
+		o := Object{ID: uint64(i), Loc: geo.Point{X: r.Float64(), Y: r.Float64()}}
+		if r.Intn(2) == 1 {
+			o.Kind = FeatureObject
+			ids := make([]uint32, 1+r.Intn(10))
+			for j := range ids {
+				ids[j] = uint32(r.Intn(500))
+			}
+			o.Keywords = text.NewKeywordSet(ids...)
+		}
+		objs[i] = o
+	}
+	return objs
+}
+
 func onlyKind(objs []Object, k Kind) []Object {
 	var out []Object
 	for _, o := range objs {
@@ -39,6 +98,11 @@ func onlyKind(objs []Object, k Kind) []Object {
 	return out
 }
 
+// TestColSegmentRoundTrip checks the segment framing and the zone maps:
+// frames tile the file after its 5-byte header, every block but the last
+// is full, each zone map's bounds and bloom cover its block's records, and
+// the blocks hold every record. TestCol3SegmentRoundTrip checks the
+// decoded records themselves.
 func TestColSegmentRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	dict := text.NewDict()
@@ -52,14 +116,21 @@ func TestColSegmentRoundTrip(t *testing.T) {
 			if len(stats) != wantBlocks {
 				t.Fatalf("%v/%d: %d blocks, want %d", kind, blockRecords, len(stats), wantBlocks)
 			}
-			var back []Object
+			if !bytes.Equal(raw[:4], []byte("SPQ3")) || raw[4] != colKindByte(kind) {
+				t.Fatalf("%v/%d: segment header %q", kind, blockRecords, raw[:5])
+			}
+			next := int64(5)
 			total := 0
 			for i, bs := range stats {
-				if bs.Offset < 5 || int(bs.Offset)+bs.Length > len(raw) {
-					t.Fatalf("%v/%d: block %d frame (%d+%d) outside segment of %d bytes",
-						kind, blockRecords, i, bs.Offset, bs.Length, len(raw))
+				if bs.Offset != next || int(bs.Offset)+bs.Length > len(raw) {
+					t.Fatalf("%v/%d: block %d frame (%d+%d) does not follow the previous frame at %d in a %d-byte segment",
+						kind, blockRecords, i, bs.Offset, bs.Length, next, len(raw))
 				}
-				b, err := DecodeColFrame(raw[bs.Offset : bs.Offset+int64(bs.Length)])
+				next = bs.Offset + int64(bs.Length)
+				if i < len(stats)-1 && bs.Records != blockRecords {
+					t.Fatalf("%v/%d: inner block %d holds %d records", kind, blockRecords, i, bs.Records)
+				}
+				b, err := DecodeColFrame(raw[bs.Offset:next])
 				if err != nil {
 					t.Fatalf("%v/%d: block %d: %v", kind, blockRecords, i, err)
 				}
@@ -79,24 +150,14 @@ func TestColSegmentRoundTrip(t *testing.T) {
 							}
 						}
 					}
-					back = append(back, o)
 				}
 				total += bs.Records
 			}
+			if next != int64(len(raw)) {
+				t.Fatalf("%v/%d: frames end at %d, segment has %d bytes", kind, blockRecords, next, len(raw))
+			}
 			if total != len(objs) {
 				t.Fatalf("%v/%d: blocks hold %d records, want %d", kind, blockRecords, total, len(objs))
-			}
-			// Record order inside a segment is preserved, so the round trip
-			// must be exact. Keyword sets alias the decoded columns; compare
-			// by value.
-			if len(back) != len(objs) {
-				t.Fatalf("%v/%d: %d objects back, want %d", kind, blockRecords, len(back), len(objs))
-			}
-			for i := range objs {
-				if back[i].Kind != objs[i].Kind || back[i].ID != objs[i].ID || back[i].Loc != objs[i].Loc ||
-					!reflect.DeepEqual(append(text.KeywordSet(nil), back[i].Keywords...), objs[i].Keywords) {
-					t.Fatalf("%v/%d: object %d differs: %v vs %v", kind, blockRecords, i, back[i], objs[i])
-				}
 			}
 		}
 	}
@@ -104,6 +165,7 @@ func TestColSegmentRoundTrip(t *testing.T) {
 
 // TestColSegmentRejectsCorruption flips, truncates and extends frames; the
 // decoder must return an error every time — never a panic, never objects.
+// TestCol3SegmentRejectsCorruption covers payloads behind a valid CRC.
 func TestColSegmentRejectsCorruption(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	dict := text.NewDict()
@@ -163,7 +225,7 @@ func TestColInputCacheSharing(t *testing.T) {
 	objs := randObjects(r, 500)
 	g := grid.NewSquare(3)
 	store := MemSegStore{}
-	man, err := PartitionObjects(g, objs).SealSegments(store, "c", dict, 32, FormatColumnar)
+	man, err := PartitionObjects(g, objs).SealSegments(store, "c", dict, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +281,9 @@ func TestColInputLRUEviction(t *testing.T) {
 }
 
 // FuzzDecodeColFrame is the corruption fuzz target: arbitrary bytes must
-// decode or fail with an error — never panic, never loop.
+// decode or fail with an error — never panic, never loop. The corpus
+// holds SPQ3 frames, which must decode, and frames of retired SPQ2
+// payloads, which must not.
 func FuzzDecodeColFrame(f *testing.F) {
 	r := rand.New(rand.NewSource(2))
 	dict := text.NewDict()
@@ -228,9 +292,6 @@ func FuzzDecodeColFrame(f *testing.F) {
 			objs := onlyKind(randObjects(r, 120), kind)
 			var buf bytes.Buffer
 			cw := NewColWriter(&buf, kind, dict, 16)
-			if spq3 {
-				cw = NewCol3Writer(&buf, kind, dict, 16)
-			}
 			for _, o := range objs {
 				if err := cw.Append(o); err != nil {
 					f.Fatal(err)
@@ -239,8 +300,17 @@ func FuzzDecodeColFrame(f *testing.F) {
 			if err := cw.Close(); err != nil {
 				f.Fatal(err)
 			}
+			start := 0
 			for _, bs := range cw.Stats() {
-				f.Add(buf.Bytes()[bs.Offset : bs.Offset+int64(bs.Length)])
+				frame := buf.Bytes()[bs.Offset : bs.Offset+int64(bs.Length)]
+				if !spq3 {
+					frame = frameOf(spq2Payload(kind, objs[start:start+bs.Records]))
+				}
+				start += bs.Records
+				if _, err := DecodeColFrame(frame); (err == nil) != spq3 {
+					f.Fatalf("spq3=%v %v frame: decode error %v", spq3, kind, err)
+				}
+				f.Add(frame)
 			}
 		}
 	}
@@ -263,7 +333,7 @@ func FuzzDecodeColFrame(f *testing.F) {
 }
 
 // FuzzColBlockRoundTrip drives the encoder with fuzzer-chosen objects and
-// checks encode -> frame -> decode is the identity.
+// checks encode -> frame -> decode is the identity for a two-record block.
 func FuzzColBlockRoundTrip(f *testing.F) {
 	f.Add(uint64(7), 0.25, -3.5, "alpha,beta", true)
 	f.Add(uint64(1<<63), -1e300, 1e-300, "", false)
@@ -306,8 +376,8 @@ func FuzzColBlockRoundTrip(f *testing.F) {
 		}
 		for i, want := range objs {
 			got := b.Object(i)
-			// NaN coordinates cannot compare equal; compare bit patterns
-			// through the zone map instead of value equality.
+			// NaN coordinates cannot compare equal; compare them as floats
+			// that are both NaN instead of by value equality.
 			if got.Kind != want.Kind || got.ID != want.ID ||
 				!sameFloat(got.Loc.X, want.Loc.X) || !sameFloat(got.Loc.Y, want.Loc.Y) ||
 				!got.Keywords.Equal(want.Keywords) {

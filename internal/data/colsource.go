@@ -82,7 +82,7 @@ func SelectAllBlocks(m *Manifest) []ColSel {
 	return out
 }
 
-// ColInput is a MapReduce source over SPQ2 columnar segments: one split
+// ColInput is a MapReduce source over SPQ3 columnar segments: one split
 // per selected block, fetched by ranged read at the zone map's offset and
 // decoded into dense column buffers — or served straight from the decoded-
 // segment cache. Splits report their payload size and record count, so
@@ -201,7 +201,7 @@ func (s *colSplit) Each(yield func(Object) bool) error {
 		return fmt.Errorf("data: segment %s block %d: decoded %d records, zone map says %d",
 			s.file, s.idx, b.Len(), s.bs.Records)
 	}
-	if len(s.in.Keywords) > 0 && b.Kind == FeatureObject && b.Dict != nil {
+	if len(s.in.Keywords) > 0 && b.Kind == FeatureObject {
 		eachRelevant(b, s.in.Keywords, yield)
 		return nil
 	}

@@ -29,19 +29,9 @@ const ManifestVersion = 1
 // Storage formats recorded in the manifest.
 const (
 	FormatText       = "text" // newline-delimited EncodeLine records
-	FormatBinary     = "seq"  // SPQ1: SequenceFile-like binary records
-	FormatColumnar   = "spq2" // SPQ2: columnar cell segments with block zone maps
-	FormatCompressed = "spq3" // SPQ3: compressed columnar segments, adaptive blocks
+	FormatCompressed = "spq3" // SPQ3: compressed columnar segments with block zone maps
 	FormatMemory     = "mem"  // in-memory partitions, no DFS files
 )
-
-// IsColumnar reports whether the format stores cells as column blocks
-// with zone maps (SPQ2 or SPQ3). Both share the block reader stack —
-// manifest zone maps, ranged reads, the decoded-segment cache — and
-// differ only in the self-describing block payload encoding.
-func IsColumnar(format string) bool {
-	return format == FormatColumnar || format == FormatCompressed
-}
 
 // Bloom filter geometry for per-cell keyword summaries. 2048 bits and 3
 // probes keep the false-positive rate under 1% for the few hundred
@@ -136,11 +126,11 @@ type CellStats struct {
 	// data cells.
 	Keywords KeywordBloom `json:"keywords,omitempty"`
 	// Blocks are the per-block zone maps of a columnar cell segment
-	// (FormatColumnar or FormatCompressed), in file order: each block's
-	// record count, frame offset/length, tight bounding rectangle and
-	// keyword summary. The planner prunes individual blocks against them,
-	// and readers fetch surviving blocks by ranged read. Empty for SPQ1
-	// and text cells, which are only addressable whole.
+	// (FormatCompressed), in file order: each block's record count, frame
+	// offset/length, tight bounding rectangle and keyword summary. The
+	// planner prunes individual blocks against them, and readers fetch
+	// surviving blocks by ranged read. Empty for text and memory cells,
+	// which are only addressable whole.
 	Blocks []BlockStats `json:"blocks,omitempty"`
 }
 
@@ -201,6 +191,12 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 	if m.Version != ManifestVersion {
 		return nil, fmt.Errorf("data: manifest version %d, want %d", m.Version, ManifestVersion)
 	}
+	switch m.Format {
+	case FormatText, FormatCompressed, FormatMemory:
+	default:
+		return nil, fmt.Errorf("data: manifest format %q, want %q, %q or %q",
+			m.Format, FormatText, FormatCompressed, FormatMemory)
+	}
 	if m.Grid.N <= 0 {
 		return nil, fmt.Errorf("data: manifest has invalid seal grid %dx%d", m.Grid.N, m.Grid.N)
 	}
@@ -230,7 +226,7 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 // failing these checks could make a reader fetch garbage offsets, so it is
 // rejected whole.
 func checkBlocks(cs CellStats, format string, feature bool) error {
-	if !IsColumnar(format) {
+	if format != FormatCompressed {
 		if len(cs.Blocks) != 0 {
 			return fmt.Errorf("data: manifest %s cell %d has block zone maps but format %q", kindName(feature), cs.Cell, format)
 		}
@@ -348,101 +344,33 @@ func cellFileName(prefix, kind string, cell grid.CellID, ext string) string {
 // a seal with the given prefix.
 func ManifestFileName(prefix string) string { return prefix + ".manifest.json" }
 
-// sealExt maps a storage format to its cell-file extension.
-func sealExt(format string) string {
-	switch format {
-	case FormatBinary:
-		return "seq"
-	case FormatColumnar:
-		return "spq2"
-	case FormatCompressed:
-		return "spq3"
-	default:
-		return "txt"
-	}
-}
-
 // SealDFS writes every cell partition as its own DFS file in the given
-// format (FormatText, FormatBinary, FormatColumnar or FormatCompressed)
-// and persists the manifest as <prefix>.manifest.json. The returned
-// manifest carries the per-cell statistics the planner prunes on;
-// columnar seals additionally carry every block's zone map
-// (CellStats.Blocks). SPQ3 seals size each cell's blocks adaptively from
-// its record density (AdaptiveBlockRecords).
+// format (FormatText or FormatCompressed) and persists the manifest as
+// <prefix>.manifest.json. The returned manifest carries the per-cell
+// statistics the planner prunes on; SPQ3 seals additionally carry every
+// block's zone map (CellStats.Blocks), with each cell's blocks sized
+// adaptively from its record density (AdaptiveBlockRecords).
 func (p *Partitions) SealDFS(fs *dfs.FileSystem, prefix string, dict *text.Dict, format string) (*Manifest, error) {
-	switch format {
-	case FormatText, FormatBinary, FormatColumnar, FormatCompressed:
-	default:
+	if format != FormatText && format != FormatCompressed {
 		return nil, fmt.Errorf("data: seal format %q", format)
 	}
-	ext := sealExt(format)
-	m := &Manifest{
-		Version:    ManifestVersion,
-		Format:     format,
-		Generation: p.Generation,
-		Grid:       GridSpec{Bounds: p.Grid.Bounds(), N: dims(p.Grid)},
-	}
-	write := func(part CellPart, kind string, withKeywords bool) (CellStats, error) {
-		name := cellFileName(prefix, kind, part.Cell, ext)
+	m, err := p.seal(prefix, dict, format, func(name string, objs []Object) ([]BlockStats, error) {
 		w, err := fs.Writer(name)
 		if err != nil {
-			return CellStats{}, err
+			return nil, err
 		}
-		var blocks []BlockStats
-		switch format {
-		case FormatBinary:
-			sw := NewSeqWriter(w, name)
-			for _, o := range part.Objects {
-				if err := sw.Append(o); err != nil {
-					return CellStats{}, err
-				}
-			}
-			if err := sw.Close(); err != nil {
-				return CellStats{}, err
-			}
-		case FormatColumnar, FormatCompressed:
-			var cw *ColWriter
-			if format == FormatCompressed {
-				cw = NewCol3Writer(w, part.Objects[0].Kind, dict, AdaptiveBlockRecords(len(part.Objects)))
-			} else {
-				cw = NewColWriter(w, part.Objects[0].Kind, dict, 0)
-			}
-			for _, o := range part.Objects {
-				if err := cw.Append(o); err != nil {
-					return CellStats{}, err
-				}
-			}
-			if err := cw.Close(); err != nil {
-				return CellStats{}, err
-			}
-			blocks = cw.Stats()
-		default:
-			for _, o := range part.Objects {
-				if err := EncodeLine(w, o, dict); err != nil {
-					return CellStats{}, err
-				}
-			}
-			if err := w.Close(); err != nil {
-				return CellStats{}, err
+		if format == FormatCompressed {
+			return writeColumns(w, objs, dict, 0)
+		}
+		for _, o := range objs {
+			if err := EncodeLine(w, o, dict); err != nil {
+				return nil, err
 			}
 		}
-		cs := part.stats(name, dict, withKeywords)
-		cs.Blocks = blocks
-		return cs, nil
-	}
-	for _, part := range p.Data {
-		cs, err := write(part, "d", false)
-		if err != nil {
-			return nil, fmt.Errorf("data: seal cell %d: %w", part.Cell, err)
-		}
-		m.Data = append(m.Data, cs)
-	}
-	for _, part := range p.Features {
-		cs, err := write(part, "f", true)
-		if err != nil {
-			return nil, fmt.Errorf("data: seal cell %d: %w", part.Cell, err)
-		}
-		m.Features = append(m.Features, cs)
+		return nil, w.Close()
+	})
+	if err != nil {
+		return nil, err
 	}
 	mw, err := fs.Writer(ManifestFileName(prefix))
 	if err != nil {
@@ -455,6 +383,78 @@ func (p *Partitions) SealDFS(fs *dfs.FileSystem, prefix string, dict *text.Dict,
 		return nil, fmt.Errorf("data: seal manifest: %w", err)
 	}
 	return m, nil
+}
+
+// SealSegments writes every cell partition as an SPQ3 segment into an
+// in-memory store and returns the manifest describing it: the columnar
+// analogue of SealMemory, used by harnesses and tests that want the full
+// block-pruned read path without a simulated DFS underneath.
+// blockRecords <= 0 selects density-adaptive block sizing.
+func (p *Partitions) SealSegments(store MemSegStore, prefix string, dict *text.Dict, blockRecords int) (*Manifest, error) {
+	return p.seal(prefix, dict, FormatCompressed, func(name string, objs []Object) ([]BlockStats, error) {
+		var buf bytes.Buffer
+		blocks, err := writeColumns(&buf, objs, dict, blockRecords)
+		store[name] = buf.Bytes()
+		return blocks, err
+	})
+}
+
+// seal is the per-cell write loop shared by SealDFS and SealSegments:
+// write stores one cell's objects under the given file name and returns
+// the cell's block zone maps (nil for text cells). The returned manifest
+// lists data cells, then feature cells, each in cell order.
+func (p *Partitions) seal(prefix string, dict *text.Dict, format string, write func(name string, objs []Object) ([]BlockStats, error)) (*Manifest, error) {
+	ext := "txt"
+	if format == FormatCompressed {
+		ext = "spq3"
+	}
+	m := &Manifest{
+		Version:    ManifestVersion,
+		Format:     format,
+		Generation: p.Generation,
+		Grid:       GridSpec{Bounds: p.Grid.Bounds(), N: dims(p.Grid)},
+	}
+	cells := func(parts []CellPart, kind string, withKeywords bool) ([]CellStats, error) {
+		var out []CellStats
+		for _, part := range parts {
+			name := cellFileName(prefix, kind, part.Cell, ext)
+			blocks, err := write(name, part.Objects)
+			if err != nil {
+				return nil, fmt.Errorf("data: seal cell %d: %w", part.Cell, err)
+			}
+			cs := part.stats(name, dict, withKeywords)
+			cs.Blocks = blocks
+			out = append(out, cs)
+		}
+		return out, nil
+	}
+	var err error
+	if m.Data, err = cells(p.Data, "d", false); err != nil {
+		return nil, err
+	}
+	if m.Features, err = cells(p.Features, "f", true); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// writeColumns writes one cell's objects as an SPQ3 segment to w and
+// returns its block zone maps. blockRecords <= 0 sizes the blocks from
+// the cell's record count.
+func writeColumns(w io.Writer, objs []Object, dict *text.Dict, blockRecords int) ([]BlockStats, error) {
+	if blockRecords <= 0 {
+		blockRecords = AdaptiveBlockRecords(len(objs))
+	}
+	cw := NewColWriter(w, objs[0].Kind, dict, blockRecords)
+	for _, o := range objs {
+		if err := cw.Append(o); err != nil {
+			return nil, err
+		}
+	}
+	if err := cw.Close(); err != nil {
+		return nil, err
+	}
+	return cw.Stats(), nil
 }
 
 // SealMemory lays the partitions out as one contiguous object slice in
@@ -472,65 +472,6 @@ func (p *Partitions) SealMemory(prefix string, dict *text.Dict) (*Manifest, []Ob
 	var ordered []Object
 	m.Data, m.Features, ordered = p.CellView(prefix, dict)
 	return m, ordered
-}
-
-// SealSegments writes every cell partition as a columnar segment (SPQ2
-// or SPQ3, per format) into an in-memory store and returns the manifest
-// describing it: the columnar analogue of SealMemory, used by harnesses
-// and tests that want the full block-pruned read path without a simulated
-// DFS underneath. blockRecords <= 0 selects the format's default:
-// ColBlockRecords for SPQ2, density-adaptive sizing for SPQ3.
-func (p *Partitions) SealSegments(store MemSegStore, prefix string, dict *text.Dict, blockRecords int, format string) (*Manifest, error) {
-	if !IsColumnar(format) {
-		return nil, fmt.Errorf("data: segment seal format %q", format)
-	}
-	m := &Manifest{
-		Version:    ManifestVersion,
-		Format:     format,
-		Generation: p.Generation,
-		Grid:       GridSpec{Bounds: p.Grid.Bounds(), N: dims(p.Grid)},
-	}
-	write := func(part CellPart, kind string, withKeywords bool) (CellStats, error) {
-		name := cellFileName(prefix, kind, part.Cell, sealExt(format))
-		var buf bytes.Buffer
-		var cw *ColWriter
-		if format == FormatCompressed {
-			br := blockRecords
-			if br <= 0 {
-				br = AdaptiveBlockRecords(len(part.Objects))
-			}
-			cw = NewCol3Writer(&buf, part.Objects[0].Kind, dict, br)
-		} else {
-			cw = NewColWriter(&buf, part.Objects[0].Kind, dict, blockRecords)
-		}
-		for _, o := range part.Objects {
-			if err := cw.Append(o); err != nil {
-				return CellStats{}, err
-			}
-		}
-		if err := cw.Close(); err != nil {
-			return CellStats{}, err
-		}
-		store[name] = append([]byte(nil), buf.Bytes()...)
-		cs := part.stats(name, dict, withKeywords)
-		cs.Blocks = cw.Stats()
-		return cs, nil
-	}
-	for _, part := range p.Data {
-		cs, err := write(part, "d", false)
-		if err != nil {
-			return nil, fmt.Errorf("data: seal cell %d: %w", part.Cell, err)
-		}
-		m.Data = append(m.Data, cs)
-	}
-	for _, part := range p.Features {
-		cs, err := write(part, "f", true)
-		if err != nil {
-			return nil, fmt.Errorf("data: seal cell %d: %w", part.Cell, err)
-		}
-		m.Features = append(m.Features, cs)
-	}
-	return m, nil
 }
 
 // CellView computes the per-cell statistics and the cell-ordered object

@@ -100,7 +100,7 @@ func TestPartitionObjectsPreservesDataset(t *testing.T) {
 }
 
 func TestSealDFSRoundTrip(t *testing.T) {
-	for _, format := range []string{FormatText, FormatBinary, FormatColumnar} {
+	for _, format := range []string{FormatText, FormatCompressed} {
 		dict := text.NewDict()
 		objs := testObjects(300, dict)
 		g := grid.NewSquare(4)
@@ -129,19 +129,12 @@ func TestSealDFSRoundTrip(t *testing.T) {
 		// Reading every cell file back yields exactly the dataset.
 		var back []Object
 		collect := func(o Object) { back = append(back, o) }
-		switch format {
-		case FormatColumnar:
+		if format == FormatCompressed {
 			err = eachSourceObject(NewColInput(fs, SelectAllBlocks(man), nil, 0), collect)
 			if err != nil {
 				t.Fatalf("%s: read: %v", format, err)
 			}
-		case FormatBinary:
-			for _, name := range man.Files() {
-				if err = NewSeqInput(fs, name).each(collect); err != nil {
-					t.Fatalf("%s: read %s: %v", format, name, err)
-				}
-			}
-		default:
+		} else {
 			for _, name := range man.Files() {
 				if err = eachTextObject(fs, name, dict, collect); err != nil {
 					t.Fatalf("%s: read %s: %v", format, name, err)
@@ -164,12 +157,12 @@ func TestSealDFSRoundTrip(t *testing.T) {
 				t.Fatalf("%s: data cell %d has a keyword summary", format, cs.Cell)
 			}
 		}
-		// Columnar seals carry block zone maps; other formats must not.
+		// SPQ3 seals carry block zone maps; text seals must not.
 		for _, cs := range append(append([]CellStats(nil), man.Data...), man.Features...) {
-			if format == FormatColumnar && len(cs.Blocks) == 0 {
+			if format == FormatCompressed && len(cs.Blocks) == 0 {
 				t.Fatalf("%s: cell %d has no block zone maps", format, cs.Cell)
 			}
-			if format != FormatColumnar && len(cs.Blocks) != 0 {
+			if format != FormatCompressed && len(cs.Blocks) != 0 {
 				t.Fatalf("%s: cell %d has block zone maps", format, cs.Cell)
 			}
 		}
@@ -181,20 +174,6 @@ func eachSourceObject(src interface {
 	Splits() ([]mapreduce.SourceSplit[Object], error)
 }, f func(Object)) error {
 	splits, err := src.Splits()
-	if err != nil {
-		return err
-	}
-	for _, s := range splits {
-		if err := s.Each(func(o Object) bool { f(o); return true }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// each drains a SeqInput through its splits (test helper).
-func (si *SeqInput) each(f func(Object)) error {
-	splits, err := si.Splits()
 	if err != nil {
 		return err
 	}
@@ -315,17 +294,30 @@ func TestDecodeManifestRejectsBadInput(t *testing.T) {
 	if _, err := DecodeManifest(bytes.NewReader([]byte(`{"version":99,"grid":{"n":4}}`))); err == nil {
 		t.Error("future version accepted")
 	}
-	if _, err := DecodeManifest(bytes.NewReader([]byte(`{"version":1,"grid":{"n":0}}`))); err == nil {
+	if _, err := DecodeManifest(bytes.NewReader([]byte(`{"version":1,"format":"text","grid":{"n":0}}`))); err == nil {
 		t.Error("zero seal grid accepted")
+	}
+	// Only the formats the engine writes are readable: the retired SPQ1
+	// ("seq") and SPQ2 ("spq2") formats, unknown names and a missing
+	// format are all rejected.
+	for _, format := range []string{FormatText, FormatCompressed, FormatMemory} {
+		if _, err := DecodeManifest(bytes.NewReader([]byte(`{"version":1,"format":"` + format + `","grid":{"n":4}}`))); err != nil {
+			t.Errorf("format %q rejected: %v", format, err)
+		}
+	}
+	for _, format := range []string{"seq", "spq2", "spq4", "TEXT", ""} {
+		if _, err := DecodeManifest(bytes.NewReader([]byte(`{"version":1,"format":"` + format + `","grid":{"n":4}}`))); err == nil {
+			t.Errorf("format %q accepted", format)
+		}
 	}
 	// Keyword summaries must be full-size blooms (truncated ones would
 	// index out of range) and absent on data cells.
 	if _, err := DecodeManifest(bytes.NewReader([]byte(
-		`{"version":1,"grid":{"n":4},"features":[{"cell":0,"file":"f","records":1,"keywords":"AAAA"}]}`))); err == nil {
+		`{"version":1,"format":"text","grid":{"n":4},"features":[{"cell":0,"file":"f","records":1,"keywords":"AAAA"}]}`))); err == nil {
 		t.Error("truncated feature bloom accepted")
 	}
 	if _, err := DecodeManifest(bytes.NewReader([]byte(
-		`{"version":1,"grid":{"n":4},"data":[{"cell":0,"file":"d","records":1,"keywords":"AAAA"}]}`))); err == nil {
+		`{"version":1,"format":"text","grid":{"n":4},"data":[{"cell":0,"file":"d","records":1,"keywords":"AAAA"}]}`))); err == nil {
 		t.Error("data-cell bloom accepted")
 	}
 }

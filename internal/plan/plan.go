@@ -49,7 +49,7 @@ const (
 	// to pruning.
 	CounterRecordsSkipped = "spq.plan.records.skipped"
 	// CounterBlocksScanned and CounterBlocksPruned count column blocks of
-	// SPQ2 cells (cells carrying block-level zone maps) the job read and
+	// SPQ3 cells (cells carrying block-level zone maps) the job read and
 	// skipped. Both are 0 on storage without block metadata, where pruning
 	// stops at cell granularity.
 	CounterBlocksScanned = "spq.plan.blocks.scanned"
@@ -119,7 +119,7 @@ type Decision struct {
 	Files []string
 	// Blocks maps each surviving sealed cell file that carries block-level
 	// zone maps to the ascending indices of its surviving blocks: the
-	// planner prunes individual column blocks of SPQ2 segments the same
+	// planner prunes individual column blocks of SPQ3 segments the same
 	// three ways it prunes cells, so a surviving cell is often read only
 	// partially. Cells without block metadata have no entry and are read
 	// whole.
@@ -155,8 +155,8 @@ func Plan(m *data.Manifest, in Input) *Decision {
 	return PlanGenerations(m, nil, nil, in)
 }
 
-// unit is the planner's granule: one column block of an SPQ2 cell, or one
-// whole cell where no block zone maps exist (SPQ1, text, memory and delta
+// unit is the planner's granule: one column block of an SPQ3 cell, or one
+// whole cell where no block zone maps exist (text, memory and delta
 // cells). Every unit carries its own tight bounds, record count and — for
 // feature units — keyword summary, so the three pruning steps apply to a
 // mixed block/cell population uniformly: the correctness argument is the
@@ -228,7 +228,7 @@ func regroup(cells []data.CellStats, surv []unit, delta bool, blocks map[string]
 // unit survives if any feature unit of either generation is within reach,
 // and vice versa — so results over base+delta are identical to a
 // hypothetical re-seal of everything. Where the manifest carries block
-// zone maps (SPQ2 columnar storage), the granule is the column block, not
+// zone maps (SPQ3 columnar storage), the granule is the column block, not
 // the cell: a surviving cell may be read only partially.
 //
 // Both distance-pruning steps probe a bucket index over the units that

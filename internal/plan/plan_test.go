@@ -246,7 +246,7 @@ func TestChooseReducers(t *testing.T) {
 	}
 }
 
-// buildColumnarManifest seals the same two-cluster corpus as SPQ2 columnar
+// buildColumnarManifest seals the same two-cluster corpus as SPQ3 columnar
 // segments with tiny blocks, so cells split into many prunable units.
 func buildColumnarManifest(t *testing.T, sealN, blockRecords int) *data.Manifest {
 	t.Helper()
@@ -273,7 +273,7 @@ func buildColumnarManifest(t *testing.T, sealN, blockRecords int) *data.Manifest
 	add(0.2, 0.2, "a")
 	add(0.8, 0.8, "b")
 	g := grid.New(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, sealN, sealN)
-	m, err := data.PartitionObjects(g, objs).SealSegments(data.MemSegStore{}, "t", dict, blockRecords, data.FormatColumnar)
+	m, err := data.PartitionObjects(g, objs).SealSegments(data.MemSegStore{}, "t", dict, blockRecords)
 	if err != nil {
 		t.Fatal(err)
 	}
