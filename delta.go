@@ -123,11 +123,11 @@ func cellLayout(dataCells, featureCells []data.CellStats) map[string]memRange {
 // chunks, so no object is ever copied and an unpruned selection still gets
 // a handful of big splits rather than one per cell. Shared by the sealed
 // memory-mode layout and the delta view.
-func memoryChunks(objs []data.Object, layout map[string]memRange, files []string, target int) *mapreduce.MemorySource[data.Object] {
+func memoryChunks(objs []data.Object, layout map[string]memRange, cells []data.ColSel, target int) *mapreduce.MemorySource[data.Object] {
 	var runs []memRange
 	total := 0
-	for _, f := range files {
-		r, ok := layout[f]
+	for _, c := range cells {
+		r, ok := layout[c.Cell.File]
 		if !ok {
 			continue
 		}

@@ -68,7 +68,7 @@ const (
 
 // DefaultSealGridN is the default seal grid edge: Seal partitions the
 // datasets into DefaultSealGridN² per-cell files (plus a manifest) unless
-// Config.SealGridN or WithSealGrid overrides it.
+// Config.SealGridN overrides it.
 const DefaultSealGridN = 32
 
 // Config parameterizes an Engine.
@@ -261,7 +261,6 @@ type Engine struct {
 	sealed  bool
 	gen     uint64
 	fileSeq int
-	sealN   int // seal grid edge of the current base generation
 
 	// Sealed state: the manifest of the partitioned storage layout, plus
 	// — under StorageMemory — the cell-ordered object slice and the name
@@ -621,19 +620,18 @@ func (e *Engine) Manifest() *data.Manifest {
 func (e *Engine) Seal() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.sealLocked(0)
+	return e.sealLocked()
 }
 
-// sealLocked performs the first seal. sealGridN overrides the configured
-// seal grid when positive (WithSealGrid).
-func (e *Engine) sealLocked(sealGridN int) error {
+// sealLocked performs the first seal.
+func (e *Engine) sealLocked() error {
 	if e.sealed {
 		return nil
 	}
 	if len(e.objects) == 0 {
 		return fmt.Errorf("spq: no objects loaded")
 	}
-	return e.writeGenerationLocked(e.objects, sealGridN)
+	return e.writeGenerationLocked(e.objects)
 }
 
 // writeGenerationLocked partitions objs over the seal grid, writes them as
@@ -643,11 +641,8 @@ func (e *Engine) sealLocked(sealGridN int) error {
 // the engine keeps serving its previous generation unchanged; any
 // partially written files of the failed generation are orphaned under a
 // prefix no snapshot references.
-func (e *Engine) writeGenerationLocked(objs []data.Object, sealGridN int) error {
-	n := sealGridN
-	if n <= 0 {
-		n = e.cfg.SealGridN
-	}
+func (e *Engine) writeGenerationLocked(objs []data.Object) error {
+	n := e.cfg.SealGridN
 	bounds := e.bounds
 	if bounds.Width() == 0 || bounds.Height() == 0 {
 		// A degenerate bounding box (single point or a line of objects)
@@ -680,7 +675,6 @@ func (e *Engine) writeGenerationLocked(objs []data.Object, sealGridN int) error 
 		e.memLayout = cellLayout(man.Data, man.Features)
 	}
 	e.sealed = true
-	e.sealN = n
 	e.delta = nil
 	// Publish the read-path snapshot: from here on queries run lock-free
 	// against this immutable view (see snapshotFor).
@@ -703,7 +697,7 @@ func (e *Engine) Compact() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.sealed {
-		return e.sealLocked(0)
+		return e.sealLocked()
 	}
 	return e.compactLocked()
 }
@@ -713,10 +707,9 @@ func (e *Engine) compactLocked() error {
 	if len(e.delta) == 0 {
 		return nil
 	}
-	base := e.baseObjectsLocked()
-	merged := make([]data.Object, 0, len(base)+len(e.delta))
-	merged = append(append(merged, base...), e.delta...)
-	return e.writeGenerationLocked(merged, e.sealN)
+	// The delta is non-empty, so allObjectsLocked returns a fresh slice
+	// the new generation may retain.
+	return e.writeGenerationLocked(e.allObjectsLocked())
 }
 
 // Generation returns the storage generation queries are currently served
@@ -742,50 +735,16 @@ func (e *Engine) DeltaLen() int {
 // snapshotFor returns the published read-path snapshot, sealing first if
 // the engine has not sealed yet. The fast path is one atomic load and no
 // lock: concurrent queries on a sealed engine never serialize here.
-func (e *Engine) snapshotFor(sealGridN int) (*snapshot, error) {
+func (e *Engine) snapshotFor() (*snapshot, error) {
 	if s := e.snap.Load(); s != nil {
 		return s, nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.sealLocked(sealGridN); err != nil {
+	if err := e.sealLocked(); err != nil {
 		return nil, err
 	}
 	return e.snap.Load(), nil
-}
-
-// source returns the MapReduce input source reading exactly the given
-// sealed cell files (a subset of the manifest's file set, possibly
-// pre-pruned by the planner). Columnar storage reads the cols selection
-// instead: per-cell surviving block lists, fetched by ranged read through
-// the decoded-segment cache. It reads only the immutable snapshot and
-// the engine's construction-time fields, so concurrent queries build
-// their sources without locking. DFS sources are coalesced: per-cell
-// files (and column blocks) are small, and one map task per unit would
-// drown the job in task overhead, so consecutive splits are grouped down
-// to a few per map slot.
-func (e *Engine) source(s *snapshot, files []string, cols []data.ColSel, io *data.SegIOStats, kws []uint32) mapreduce.Source[data.Object] {
-	target := e.cfg.MapSlots * 4
-	switch s.manifest.Format {
-	case data.FormatText:
-		return mapreduce.Coalesce[data.Object](mapreduce.NewTextInput(e.fs, func(line []byte) (data.Object, error) {
-			return data.ParseLine(line, e.dict)
-		}, files...), target)
-	case data.FormatCompressed:
-		in := data.NewColInput(e.fs, cols, e.segCache, s.manifest.Generation)
-		in.IO = io
-		in.Keywords = kws
-		return mapreduce.Coalesce[data.Object](in, target)
-	default:
-		return e.memorySource(s, files)
-	}
-}
-
-// memorySource builds an in-memory source over the selected partitions of
-// the snapshot's sealed layout, re-split into ~2 chunks per map slot (see
-// memoryChunks, which the delta view shares).
-func (e *Engine) memorySource(s *snapshot, files []string) mapreduce.Source[data.Object] {
-	return memoryChunks(s.sealedObjs, s.memLayout, files, e.cfg.MapSlots*2)
 }
 
 // Query runs a spatial preference query and returns the ranked results.
@@ -857,6 +816,10 @@ func (e *Engine) QueryReportContext(ctx context.Context, q Query, opts ...QueryO
 }
 
 // queryReport is the query execution path behind QueryReportContext.
+// Every query runs the same three stages against the snapshot: plan picks
+// what to read and how to shape the job, source turns that selection into
+// the job's input, and execute runs the job — or skips it when the plan
+// proves the result empty — and builds the one report.
 func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (*Report, error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
@@ -868,20 +831,16 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.gridSet && cfg.gridN <= 0 {
-		return nil, fmt.Errorf("%w: grid size %d, must be positive", ErrInvalidQuery, cfg.gridN)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	if cfg.sealGridSet && cfg.sealGridN <= 0 {
-		return nil, fmt.Errorf("%w: seal grid size %d, must be positive", ErrInvalidQuery, cfg.sealGridN)
-	}
-	effective := cfg.effectiveOptions(e.cache != nil)
 
 	// Baseline DFS fault/repair activity: the delta accumulated while this
 	// query runs (failovers, quarantines, read repairs, ...) is surfaced on
 	// the report as spq.fault.* / spq.dfs.repair.* counters.
 	fault0 := e.fs.FaultStats()
 
-	snap, err := e.snapshotFor(cfg.sealGridN)
+	snap, err := e.snapshotFor()
 	if err != nil {
 		return nil, err
 	}
@@ -907,139 +866,199 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 		}
 		bounds = bounds.Expand(pad)
 	}
+	cq := core.Query{K: q.K, Radius: q.Radius, Keywords: e.dict.InternAll(q.Keywords), Mode: q.Mode}
+
+	sel, err := e.planQuery(snap, q, &cfg)
+	if err != nil {
+		return nil, err
+	}
+	var in *querySource
+	if !sel.empty {
+		if in, err = e.source(snap, sel, cq.Keywords, bounds); err != nil {
+			return nil, err
+		}
+	}
+	rep, err := e.execute(ctx, snap, sel, in, cq, cfg, bounds)
+	if err != nil {
+		return nil, err
+	}
+	rep.Counters = addFaultCounters(rep.Counters, e.fs.FaultStats().Sub(fault0))
+	rep.effective = cfg.effectiveOptions(e.cache != nil)
+	return e.finishQuery(key, rep), nil
+}
+
+// querySel is the plan stage's output: what one query reads and the shape
+// of its job.
+type querySel struct {
+	// cells selects the sealed base, its first nData entries data cells
+	// and the rest feature cells: every block of every cell for unplanned
+	// queries, the planner's surviving blocks otherwise.
+	cells []data.ColSel
+	nData int
+	// delta reads the visible delta records the query needs; nil when it
+	// needs none.
+	delta           mapreduce.Source[data.Object]
+	gridN, reducers int
+	plan            *PlanStats
+	deltaStats      *DeltaStats
+	counters        map[string]int64
+	// priority admits the job through the priority lane; empty marks a
+	// plan that proves the result empty, so no job runs.
+	priority, empty bool
+}
+
+// planQuery is the plan stage. Unplanned queries select every sealed cell
+// whole and read the visible delta in append order; WithAutoPlan queries
+// prune the sealed base and the delta — partitioned over the seal grid,
+// once per snapshot — jointly, and take the planner's grid and reducers
+// unless the options override them. The resolved reducer count is
+// checked against the resolved grid here, before any job starts.
+func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) (*querySel, error) {
+	sel := &querySel{gridN: cfg.gridN, reducers: cfg.reducers, deltaStats: &DeltaStats{Generation: s.gen}}
 	// The delta participating in this query: records appended after the
 	// base generation sealed, unless the caller opted out.
-	delta := snap.delta
+	delta := s.delta
 	if cfg.noDelta {
 		delta = nil
 	}
-	deltaStats := &DeltaStats{Generation: snap.gen}
 	if delta != nil {
-		deltaStats.Records = int64(len(delta.objs))
-		deltaStats.RecordsSelected = deltaStats.Records
+		sel.deltaStats.Records = int64(len(delta.objs))
+		sel.deltaStats.RecordsSelected = sel.deltaStats.Records
 	}
-	gridN := cfg.gridN
-	reducers := cfg.reducers
-	files := snap.manifest.Files()
-	// Columnar storage reads a block selection rather than whole files:
-	// everything by default, narrowed by the planner below. Data and
-	// feature selections stay separate so delta-free queries can route the
-	// data half through the cached per-grid view instead of the shuffle.
-	columnar := e.viewCache != nil
-	var colsData, colsFeat []data.ColSel
-	if columnar {
-		colsData = selectCells(snap.manifest.Data, nil)
-		colsFeat = selectCells(snap.manifest.Features, nil)
-	}
-	var deltaSrc mapreduce.Source[data.Object]
-	if delta != nil && !cfg.autoPlan {
-		// Unplanned queries read the whole delta in append order; planned
-		// queries build their source from the surviving delta cells below.
-		deltaSrc = mapreduce.NewMemorySource(delta.objs, e.cfg.MapSlots*2)
-	}
-	var planStats *PlanStats
-	extraCounters := deltaCounters(nil, deltaStats)
-	priority := false
-	if cfg.autoPlan {
-		var view *deltaView
-		var deltaData, deltaFeatures []data.CellStats
+	var planCounters map[string]int64
+	if !cfg.autoPlan {
+		sel.cells, sel.nData = data.SelectCells(nil, s.manifest.Data, s.manifest.Features), len(s.manifest.Data)
 		if delta != nil {
-			// Partition the delta over the manifest's seal grid (lazily,
-			// once per snapshot) so its cells prune like sealed ones.
-			view = delta.buildView(snap.manifest, e.dict)
-			deltaData, deltaFeatures = view.dataCells, view.featureCells
+			sel.delta = mapreduce.NewMemorySource(delta.objs, e.cfg.MapSlots*2)
 		}
-		dec := plan.PlanGenerations(snap.manifest, deltaData, deltaFeatures, plan.Input{
+	} else {
+		view := &deltaView{}
+		if delta != nil {
+			view = delta.buildView(s.manifest, e.dict)
+		}
+		dec := plan.PlanGenerations(s.manifest, view.dataCells, view.featureCells, plan.Input{
 			Radius:      q.Radius,
 			Keywords:    q.Keywords,
 			ReduceSlots: e.cfg.ReduceSlots,
 			GridN:       cfg.gridN,
 			NumReducers: cfg.reducers,
 		})
-		files = dec.Files
-		if columnar {
-			colsData = selectCells(dec.Data, dec.Blocks)
-			colsFeat = selectCells(dec.Features, dec.Blocks)
+		sel.cells, sel.nData = data.SelectCells(dec.Blocks, dec.Data, dec.Features), len(dec.Data)
+		if len(dec.DeltaData)+len(dec.DeltaFeatures) > 0 {
+			sel.delta = memoryChunks(view.ordered, view.layout,
+				data.SelectCells(nil, dec.DeltaData, dec.DeltaFeatures), e.cfg.MapSlots*2)
 		}
-		gridN = dec.GridN
-		reducers = dec.NumReducers
-		deltaStats.Cells = dec.Stats.DeltaCells
-		deltaStats.CellsPruned = dec.Stats.DeltaCellsPruned
-		deltaStats.RecordsSelected = dec.Stats.DeltaRecordsSelected
-		extraCounters = deltaCounters(dec.Counters(), deltaStats)
-		planStats = newPlanStats(dec)
+		sel.gridN, sel.reducers = dec.GridN, dec.NumReducers
+		sel.deltaStats.Cells = dec.Stats.DeltaCells
+		sel.deltaStats.CellsPruned = dec.Stats.DeltaCellsPruned
+		sel.deltaStats.RecordsSelected = dec.Stats.DeltaRecordsSelected
+		sel.plan = newPlanStats(dec)
+		planCounters = dec.Counters()
 		// A plan that proves the query cheap (it reads at most a quarter
 		// of the stored records) earns the admission priority lane, so
 		// selective queries are not stuck behind scan-heavy ones.
-		priority = dec.Stats.RecordsTotal > 0 &&
+		sel.priority = dec.Stats.RecordsTotal > 0 &&
 			dec.Stats.RecordsSelected*4 <= dec.Stats.RecordsTotal
-		if dec.Empty() {
-			rep, err := e.emptyPlanReport(q, cfg, bounds, planStats, deltaStats, extraCounters)
+		sel.empty = dec.Empty()
+	}
+	// The spq.delta.* counters appear only when a delta was visible, so
+	// delta-free executions keep their counter sets unchanged.
+	sel.counters = planCounters
+	if ds := sel.deltaStats; ds.Records > 0 {
+		if sel.counters == nil {
+			sel.counters = make(map[string]int64, 3)
+		}
+		sel.counters[CounterDeltaRecords] = ds.Records
+		sel.counters[CounterDeltaRecordsSelected] = ds.RecordsSelected
+		sel.counters[CounterDeltaCellsPruned] = int64(ds.CellsPruned)
+	}
+	if sel.gridN <= 0 {
+		sel.gridN = defaultGridN
+	}
+	if cells := sel.gridN * sel.gridN; sel.reducers > cells {
+		return nil, fmt.Errorf("%w: %d reducers, must be at most the %d cells of the %dx%d grid",
+			ErrInvalidQuery, sel.reducers, cells, sel.gridN, sel.gridN)
+	}
+	return sel, nil
+}
+
+// querySource is the source stage's output: the job's input, plus the
+// data view and segment I/O stats that go with an SPQ3 read.
+type querySource struct {
+	src  mapreduce.Source[data.Object]
+	view *core.DataView
+	io   *data.SegIOStats
+}
+
+// source is the source stage: one switch on the sealed format turns the
+// selection into the job's input — coalesced DFS line splits for text,
+// column-block reads through the segment cache with the query keywords
+// pushed down for SPQ3, chunks of the sealed layout for memory — and the
+// delta source, if any, is appended. SPQ3 queries with no visible delta on
+// an in-process engine take the data-view path: the generation's data
+// blocks become (or reuse) the dense per-grid layout, and the job shuffles
+// the selected feature records only. Appended records cannot be in a
+// sealed view, and a worker cannot receive one, so the other queries carry
+// both kinds in-stream.
+func (e *Engine) source(s *snapshot, sel *querySel, kws []uint32, bounds geo.Rect) (*querySource, error) {
+	cells := sel.cells
+	in := &querySource{}
+	switch s.manifest.Format {
+	case data.FormatText:
+		files := make([]string, len(cells))
+		for i, c := range cells {
+			files[i] = c.Cell.File
+		}
+		in.src = mapreduce.Coalesce[data.Object](mapreduce.NewTextInput(e.fs, func(line []byte) (data.Object, error) {
+			return data.ParseLine(line, e.dict)
+		}, files...), e.cfg.MapSlots*4)
+	case data.FormatCompressed:
+		in.io = &data.SegIOStats{}
+		if sel.deltaStats.Records == 0 && e.exec == nil {
+			v, err := e.dataView(s, sel.gridN, bounds, in.io)
 			if err != nil {
 				return nil, err
 			}
-			rep.Counters = addFaultCounters(rep.Counters, e.fs.FaultStats().Sub(fault0))
-			rep.effective = effective
-			return e.finishQuery(key, rep), nil
+			in.view, cells = v, sel.cells[sel.nData:]
 		}
-		if view != nil && len(dec.DeltaData)+len(dec.DeltaFeatures) > 0 {
-			sel := make([]string, 0, len(dec.DeltaData)+len(dec.DeltaFeatures))
-			for _, cs := range dec.DeltaData {
-				sel = append(sel, cs.File)
-			}
-			for _, cs := range dec.DeltaFeatures {
-				sel = append(sel, cs.File)
-			}
-			deltaSrc = memoryChunks(view.ordered, view.layout, sel, e.cfg.MapSlots*2)
-		}
+		col := data.NewColInput(e.fs, cells, e.segCache, s.manifest.Generation)
+		col.IO = in.io
+		col.Keywords = kws
+		in.src = mapreduce.Coalesce[data.Object](col, e.cfg.MapSlots*4)
+	default:
+		in.src = memoryChunks(s.sealedObjs, s.memLayout, cells, e.cfg.MapSlots*2)
 	}
-	if gridN <= 0 {
-		gridN = defaultGridN
+	if sel.delta != nil {
+		in.src = mapreduce.Concat(in.src, sel.delta)
 	}
-	// Delta-free columnar queries take the data-view path: all sealed data
-	// blocks of the generation become (or reuse) the dense per-grid layout,
-	// and the job shuffles the planned feature records only. With a delta
-	// visible the combined source carries both kinds in-stream, exactly as
-	// before — appended records cannot be in any sealed view. Distributed
-	// engines skip the view as well: it is an in-process structure a
-	// worker cannot receive, and shipping the job matters more than the
-	// shuffle savings.
-	var view *core.DataView
-	var segIO *data.SegIOStats
-	cols := colsFeat
-	if columnar {
-		segIO = &data.SegIOStats{}
-	}
-	if columnar && delta == nil && e.exec == nil {
-		v, err := e.dataView(snap, gridN, bounds, segIO)
-		if err != nil {
+	return in, nil
+}
+
+// execute is the execute stage: it runs the query's job over in and
+// builds its report. A nil in means the plan proved the result empty: no
+// job runs, but the query still passes the precondition check the job
+// would run, so it is rejected exactly when an executed query would be.
+func (e *Engine) execute(ctx context.Context, s *snapshot, sel *querySel, in *querySource, cq core.Query, cfg queryConfig, bounds geo.Rect) (*Report, error) {
+	rep := &Report{Algorithm: cfg.alg, Counters: sel.counters, Plan: sel.plan, Delta: sel.deltaStats}
+	if in == nil {
+		if err := core.Validate(cfg.alg, cq, core.Options{Bounds: bounds}); err != nil {
 			return nil, err
 		}
-		view = v
-	} else {
-		cols = append(append([]data.ColSel(nil), colsData...), colsFeat...)
-	}
-	cq := core.Query{K: q.K, Radius: q.Radius, Keywords: e.dict.InternAll(q.Keywords), Mode: q.Mode}
-	// The columnar source gets the interned query keywords so SPQ3 blocks
-	// can resolve the Map-phase keyword prune through their posting
-	// dictionaries and skip irrelevant feature records wholesale.
-	src := e.source(snap, files, cols, segIO, cq.Keywords)
-	if deltaSrc != nil {
-		src = mapreduce.Concat(src, deltaSrc)
+		return rep, nil
 	}
 	var wire *core.WireInfo
 	if e.exec != nil {
-		wire = &core.WireInfo{DictLen: e.dict.Size(), Gen: snap.manifest.Generation}
+		wire = &core.WireInfo{DictLen: e.dict.Size(), Gen: s.manifest.Generation}
 	}
-	rep, err := core.RunContext(ctx, cfg.alg, src, cq, core.Options{
+	job, err := core.RunContext(ctx, cfg.alg, in.src, cq, core.Options{
 		Cluster:       e.cluster,
 		Bounds:        bounds,
-		GridN:         gridN,
-		NumReducers:   reducers,
+		GridN:         sel.gridN,
+		NumReducers:   sel.reducers,
 		SpillEvery:    cfg.spillEvery,
-		ExtraCounters: extraCounters,
-		Priority:      priority,
-		DataView:      view,
+		ExtraCounters: sel.counters,
+		Priority:      sel.priority,
+		DataView:      in.view,
 		Wire:          wire,
 		MaxAttempts:   e.cfg.MaxAttempts,
 		RetryBackoff:  e.cfg.RetryBackoff,
@@ -1047,47 +1066,21 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 	if err != nil {
 		return nil, err
 	}
-	if segIO != nil {
-		if rep.Counters == nil {
-			rep.Counters = make(map[string]int64, 3)
-		}
+	if in.io != nil {
 		// Accumulate (not overwrite): on distributed engines the workers'
 		// own segment reads already rode the task counter deltas into
-		// rep.Counters, and the master-side stats cover only what this
+		// job.Counters, and the master-side stats cover only what this
 		// process read (split enumeration, delta scans).
-		rep.Counters[CounterSegBytesRead] += segIO.BytesRead.Load()
-		rep.Counters[CounterSegBytesDecoded] += segIO.BytesDecoded.Load()
-		rep.Counters[CounterSegBytesSelected] = selBytes(colsData) + selBytes(colsFeat)
+		job.Counters[CounterSegBytesRead] += in.io.BytesRead.Load()
+		job.Counters[CounterSegBytesDecoded] += in.io.BytesDecoded.Load()
+		job.Counters[CounterSegBytesSelected] = data.StoredBytes(sel.cells)
 	}
-	rep.Counters = addFaultCounters(rep.Counters, e.fs.FaultStats().Sub(fault0))
-	return e.finishQuery(key, &Report{
-		Algorithm:    rep.Algorithm,
-		Results:      toResults(rep.Results),
-		Counters:     rep.Counters,
-		Plan:         planStats,
-		Delta:        deltaStats,
-		MapMillis:    float64(rep.Stats.MapDuration.Microseconds()) / 1000,
-		ReduceMillis: float64(rep.Stats.ReduceDuration.Microseconds()) / 1000,
-		TotalMillis:  float64(rep.Stats.Duration.Microseconds()) / 1000,
-		effective:    effective,
-	}), nil
-}
-
-// deltaCounters merges the spq.delta.* counters into base (the planner's
-// counter map, or nil). They are emitted only when a delta was actually
-// visible to the query, so delta-free executions keep their counter sets
-// unchanged.
-func deltaCounters(base map[string]int64, ds *DeltaStats) map[string]int64 {
-	if ds.Records == 0 {
-		return base
-	}
-	if base == nil {
-		base = make(map[string]int64, 3)
-	}
-	base[CounterDeltaRecords] = ds.Records
-	base[CounterDeltaRecordsSelected] = ds.RecordsSelected
-	base[CounterDeltaCellsPruned] = int64(ds.CellsPruned)
-	return base
+	rep.Results = toResults(job.Results)
+	rep.Counters = job.Counters
+	rep.MapMillis = float64(job.Stats.MapDuration.Microseconds()) / 1000
+	rep.ReduceMillis = float64(job.Stats.ReduceDuration.Microseconds()) / 1000
+	rep.TotalMillis = float64(job.Stats.Duration.Microseconds()) / 1000
+	return rep, nil
 }
 
 // finishQuery stores an executed report in the query cache (when this
@@ -1114,24 +1107,6 @@ func (e *Engine) CacheStats() CacheStats {
 	return e.cache.stats()
 }
 
-// emptyPlanReport handles a plan that proves the query returns nothing
-// (every data or feature cell pruned): the MapReduce job is skipped
-// entirely. The execution is still validated through the same core
-// precondition check the executed path runs, so a query core.Run would
-// reject fails identically whether or not the planner short-circuits.
-func (e *Engine) emptyPlanReport(q Query, cfg queryConfig, bounds geo.Rect, planStats *PlanStats, deltaStats *DeltaStats, counters map[string]int64) (*Report, error) {
-	cq := core.Query{K: q.K, Radius: q.Radius, Keywords: e.dict.InternAll(q.Keywords), Mode: q.Mode}
-	if err := core.Validate(cfg.alg, cq, core.Options{Bounds: bounds}); err != nil {
-		return nil, err
-	}
-	return &Report{
-		Algorithm: cfg.alg,
-		Counters:  counters,
-		Plan:      planStats,
-		Delta:     deltaStats,
-	}, nil
-}
-
 // newPlanStats converts a planner decision into the public report form.
 func newPlanStats(d *plan.Decision) *PlanStats {
 	return &PlanStats{
@@ -1149,21 +1124,6 @@ func newPlanStats(d *plan.Decision) *PlanStats {
 	}
 }
 
-// selectCells builds the columnar read selection over one dataset's cells:
-// every block when blocks is nil (the unplanned path), otherwise each
-// cell's surviving block indices from the planner decision.
-func selectCells(cells []data.CellStats, blocks map[string][]int) []data.ColSel {
-	out := make([]data.ColSel, 0, len(cells))
-	for _, cs := range cells {
-		sel := data.ColSel{Cell: cs}
-		if blocks != nil {
-			sel.Blocks = blocks[cs.File]
-		}
-		out = append(out, sel)
-	}
-	return out
-}
-
 // dataView returns the cached data view of this generation over the query
 // grid (gridN x gridN cells tiling bounds), building it from all the
 // generation's sealed data blocks on first use. The key leaves out the
@@ -1177,7 +1137,7 @@ func (e *Engine) dataView(s *snapshot, gridN int, bounds geo.Rect, io *data.SegI
 	key := core.ViewKey(s.manifest.Generation, gridN, bounds, nil)
 	build := func() (*core.DataView, error) {
 		g := grid.New(bounds, gridN, gridN)
-		in := data.NewColInput(e.fs, selectCells(s.manifest.Data, nil), e.segCache, s.manifest.Generation)
+		in := data.NewColInput(e.fs, data.SelectCells(nil, s.manifest.Data), e.segCache, s.manifest.Generation)
 		in.IO = io
 		return core.BuildDataView(g, in)
 	}
@@ -1196,26 +1156,6 @@ func (e *Engine) dataView(s *snapshot, gridN int, bounds geo.Rect, io *data.SegI
 			return v, err
 		}
 	}
-}
-
-// selBytes sums the stored (compressed) frame bytes of a block selection:
-// the deterministic spq.seg.bytes.selected counter. Unlike bytes.read it
-// does not depend on segment-cache warmth, so two segment formats can be
-// compared byte-for-byte even when every read is a cache hit.
-func selBytes(sels []data.ColSel) int64 {
-	var n int64
-	for _, sel := range sels {
-		if sel.Blocks == nil {
-			for _, bs := range sel.Cell.Blocks {
-				n += int64(bs.Length)
-			}
-			continue
-		}
-		for _, i := range sel.Blocks {
-			n += int64(sel.Cell.Blocks[i].Length)
-		}
-	}
-	return n
 }
 
 // SegmentCacheStats returns the cumulative hit/miss counts and current

@@ -19,7 +19,9 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"time"
 
+	"spq"
 	"spq/internal/core"
 	"spq/internal/data"
 	"spq/internal/grid"
@@ -54,8 +56,8 @@ type Config struct {
 	// BENCH_*.json trajectory file, to factor out scheduler and GC noise.
 	Repeat int
 	// Verify proves result identity for every measured figure cell: the
-	// planned columnar execution is re-run against the unplanned full-scan
-	// reference and the ranked results must match exactly. Rows carry
+	// planned engine query's results are compared against the unplanned
+	// full-scan reference run on core, and must match exactly. Rows carry
 	// "verified": true in the JSON output.
 	Verify bool
 }
@@ -103,14 +105,14 @@ type Cell struct {
 	// lands.
 	MapMillis    float64
 	ReduceMillis float64
-	// Planner and decoded-segment-cache activity of the planned columnar
-	// path; all zero on the full-scan reference path.
+	// Planner and decoded-segment-cache activity of the planned engine
+	// query; all zero on the full-scan reference path.
 	BlocksScanned      int64
 	BlocksPruned       int64
 	PlanRecordsSkipped int64
 	SegCacheHits       int64
 	SegCacheMisses     int64
-	// Segment I/O of the planned columnar path: SegBytesSelected is the
+	// Segment I/O of the planned engine query: SegBytesSelected is the
 	// stored size of the blocks the plan selected (deterministic);
 	// SegBytesRead/SegBytesDecoded are the cold-pass storage reads and
 	// their decoded size (the maximum across repeats — warm repeats read
@@ -302,34 +304,24 @@ type Harness struct {
 	// read-only for jobs, and materializing 100k+ objects per measured run
 	// would charge allocation and GC time to every figure point.
 	objCache map[*data.Dataset][]data.Object
-	// segCache memoizes the columnar seal of each dataset — segment
-	// store, manifest with block zone maps, decoded-segment cache — built
-	// once, exactly as an engine seals once and serves many queries. It is
-	// a tiny LRU (most recent first): figures sweep one dataset at a time,
-	// and retaining every family's segments, decoded
+	// engines holds one serving engine per dataset, loaded and sealed as
+	// SPQ3 once, exactly as a deployment loads once and serves many
+	// queries. It is a tiny LRU (most recent first): figures sweep one
+	// dataset at a time, and retaining every family's segments, decoded
 	// blocks and views for the whole 20-figure run would tax the later
 	// figures with GC scans over hundreds of megabytes they never touch.
-	segCache []*segStore
+	engines []*dsEngine
 }
 
-// maxSegStores bounds the harness's resident columnar seals. Three covers
-// every sweep's reuse pattern (consecutive figures share a dataset);
-// rebuilding an evicted store happens outside the measured window.
-const maxSegStores = 3
+// maxEngines bounds the harness's resident engines. Three covers every
+// sweep's reuse pattern (consecutive figures share a dataset); reloading
+// an evicted dataset happens outside the measured window.
+const maxEngines = 3
 
-// benchSealGridN is the seal grid the harness partitions datasets over,
-// matching the engine's default.
-const benchSealGridN = 32
-
-// segStore is one dataset sealed as SPQ3 columnar segments,
-// with the two read-path caches an engine would hold: decoded column
-// blocks and per-grid data views.
-type segStore struct {
-	ds    *data.Dataset
-	store data.MemSegStore
-	man   *data.Manifest
-	cache *data.BlockCache
-	views *core.ViewCache
+// dsEngine is one dataset's serving engine.
+type dsEngine struct {
+	ds  *data.Dataset
+	eng *spq.Engine
 }
 
 // New creates a harness.
@@ -343,33 +335,49 @@ func New(cfg Config) *Harness {
 	}
 }
 
-// segStore returns the dataset's cached columnar seal, sealing on first
-// use. The block cache budget comfortably holds every decoded block of a
-// bench dataset — the steady serving state of an engine whose working set
-// fits its cache.
-func (h *Harness) segStore(ds *data.Dataset) (*segStore, error) {
-	for i, st := range h.segCache {
-		if st.ds == ds {
+// engine returns the dataset's serving engine, loading and sealing it on
+// first use. The segment cache budget comfortably holds every decoded
+// block of a bench dataset — the steady serving state of an engine whose
+// working set fits its cache.
+func (h *Harness) engine(ds *data.Dataset) (*spq.Engine, error) {
+	for i, de := range h.engines {
+		if de.ds == ds {
 			if i != 0 {
-				copy(h.segCache[1:i+1], h.segCache[:i])
-				h.segCache[0] = st
+				copy(h.engines[1:i+1], h.engines[:i])
+				h.engines[0] = de
 			}
-			return st, nil
+			return de.eng, nil
 		}
 	}
-	g := grid.New(ds.Bounds(), benchSealGridN, benchSealGridN)
-	store := data.MemSegStore{}
-	man, err := data.PartitionObjects(g, h.objects(ds)).SealSegments(store, "bench", ds.Dict, 0)
-	if err != nil {
+	eng := spq.NewEngine(spq.Config{
+		MapSlots:     h.cfg.MapSlots,
+		ReduceSlots:  h.cfg.ReduceSlots,
+		Storage:      spq.StorageDFSBinary,
+		SegmentCache: 1 << 30,
+	})
+	objs := make([]spq.DataObject, len(ds.Data))
+	for i, o := range ds.Data {
+		objs[i] = spq.DataObject{ID: o.ID, X: o.Loc.X, Y: o.Loc.Y}
+	}
+	feats := make([]spq.Feature, len(ds.Features))
+	for i, f := range ds.Features {
+		feats[i] = spq.Feature{ID: f.ID, X: f.Loc.X, Y: f.Loc.Y, Keywords: ds.Dict.Words(f.Keywords)}
+	}
+	if err := eng.AddData(objs...); err != nil {
+		return nil, fmt.Errorf("bench: load %s: %w", ds.Spec.Name, err)
+	}
+	if err := eng.AddFeature(feats...); err != nil {
+		return nil, fmt.Errorf("bench: load %s: %w", ds.Spec.Name, err)
+	}
+	if err := eng.Seal(); err != nil {
 		return nil, fmt.Errorf("bench: seal %s: %w", ds.Spec.Name, err)
 	}
-	st := &segStore{ds: ds, store: store, man: man,
-		cache: data.NewBlockCache(1 << 30), views: core.NewViewCache(0)}
-	h.segCache = append([]*segStore{st}, h.segCache...)
-	if len(h.segCache) > maxSegStores {
-		h.segCache = h.segCache[:maxSegStores]
+	h.engines = append([]*dsEngine{{ds: ds, eng: eng}}, h.engines...)
+	if len(h.engines) > maxEngines {
+		h.engines[maxEngines].eng.Close()
+		h.engines = h.engines[:maxEngines]
 	}
-	return st, nil
+	return eng, nil
 }
 
 // objects returns the cached merged object slice of ds.
@@ -439,42 +447,13 @@ func queryKeywords(ds *data.Dataset, nk int, seed int64) text.KeywordSet {
 	return text.NewKeywordSet(ids...)
 }
 
-// Decoded-segment-cache deltas and segment I/O of one measured run,
-// surfaced next to the job counters in the JSON rows.
-const (
-	counterSegHits          = "bench.seg.cache.hits"
-	counterSegMisses        = "bench.seg.cache.misses"
-	counterSegBytesRead     = "bench.seg.bytes.read"
-	counterSegBytesDecoded  = "bench.seg.bytes.decoded"
-	counterSegBytesSelected = "bench.seg.bytes.selected"
-)
-
-// selBytes sums the stored frame bytes of a block selection — the
-// deterministic seg_bytes_selected row counter.
-func selBytes(sels []data.ColSel) int64 {
-	var n int64
-	for _, sel := range sels {
-		if sel.Blocks == nil {
-			for _, bs := range sel.Cell.Blocks {
-				n += int64(bs.Length)
-			}
-			continue
-		}
-		for _, i := range sel.Blocks {
-			n += int64(sel.Cell.Blocks[i].Length)
-		}
-	}
-	return n
-}
-
 // runFullScan measures the unplanned full scan over the in-memory object
 // slice — the measurement every BENCH_*.json up to PR 2 recorded, and the
 // reference results Verify compares against.
 func (h *Harness) runFullScan(ds *data.Dataset, alg core.Algorithm, q core.Query, gridN int) (Cell, error) {
-	cell, _, err := h.measure(func() (*core.Report, error) {
+	return h.measureJob(func() (*core.Report, error) {
 		return h.runReference(ds, alg, q, gridN)
 	})
-	return cell, err
 }
 
 // runReference executes one unplanned full-scan job.
@@ -487,68 +466,45 @@ func (h *Harness) runReference(ds *data.Dataset, alg core.Algorithm, q core.Quer
 	})
 }
 
-// runPlanned measures the serving path every figure cell reports: the
-// query is planned against the dataset's SPQ3 block zone maps, executed
-// over the surviving blocks through the decoded-segment cache, with the
-// planner's reducer choice. The figure's swept grid still overrides the query-time grid, so
-// the x-axis keeps its meaning.
+// runPlanned measures the serving path every figure cell reports: one
+// spq.Engine query against the dataset's sealed SPQ3 engine, planned
+// (WithAutoPlan) against the block zone maps and executed over the
+// surviving blocks through the decoded-segment cache and the per-grid
+// data view, with the planner's reducer choice. The figure's swept grid
+// still overrides the query-time grid, so the x-axis keeps its meaning.
+// Query caching is off: every repeat runs the job.
 func (h *Harness) runPlanned(ds *data.Dataset, alg core.Algorithm, q core.Query, gridN int) (Cell, error) {
-	st, err := h.segStore(ds)
+	eng, err := h.engine(ds)
 	if err != nil {
 		return Cell{}, err
 	}
-	dec := plan.Plan(st.man, plan.Input{
-		Radius:      q.Radius,
-		Keywords:    ds.Dict.Words(q.Keywords),
-		ReduceSlots: h.cfg.ReduceSlots,
-		GridN:       gridN,
-	})
-	if dec.Empty() {
-		// Figure queries draw keywords from the corpus, so a provably
-		// empty plan means the harness itself is broken.
-		return Cell{}, fmt.Errorf("bench: plan proved figure query empty (k=%d r=%g)", q.K, q.Radius)
+	b := ds.Bounds()
+	sq := spq.Query{K: q.K, Radius: q.Radius, Keywords: ds.Dict.Words(q.Keywords), Mode: q.Mode}
+	opts := []spq.QueryOption{
+		spq.WithAutoPlan(),
+		spq.WithGrid(gridN),
+		spq.WithBounds(b.MinX, b.MinY, b.MaxX, b.MaxY),
+		spq.WithAlgorithm(alg),
+		spq.WithCache(false),
 	}
-	dataSel := make([]data.ColSel, 0, len(dec.Data))
-	for _, cs := range dec.Data {
-		dataSel = append(dataSel, data.ColSel{Cell: cs, Blocks: dec.Blocks[cs.File]})
-	}
-	featSel := make([]data.ColSel, 0, len(dec.Features))
-	for _, cs := range dec.Features {
-		featSel = append(featSel, data.ColSel{Cell: cs, Blocks: dec.Blocks[cs.File]})
-	}
-	bytesSelected := selBytes(dataSel) + selBytes(featSel)
-	cell, rep, err := h.measure(func() (*core.Report, error) {
-		before := st.cache.Stats()
-		io := &data.SegIOStats{}
-		// The generation's data blocks become (or reuse) the per-grid
-		// data view: the job shuffles feature records only, and reduce
-		// tasks score against the view's dense per-cell columns.
-		view, err := st.dataView(ds, gridN, io)
+	var results []spq.Result
+	cell, err := h.measure(func() (Cell, error) {
+		before := eng.SegmentCacheStats()
+		rep, err := eng.QueryReport(sq, opts...)
 		if err != nil {
-			return nil, err
+			return Cell{}, err
 		}
-		in := data.NewColInput(st.store, featSel, st.cache, st.man.Generation)
-		in.IO = io
-		in.Keywords = q.Keywords
-		src := mapreduce.Coalesce[data.Object](in, h.cfg.MapSlots*4)
-		r, err := core.Run(alg, src, q, core.Options{
-			Cluster:       h.cluster,
-			Bounds:        ds.Bounds(),
-			GridN:         gridN,
-			NumReducers:   dec.NumReducers,
-			ExtraCounters: dec.Counters(),
-			DataView:      view,
-		})
-		if err != nil {
-			return nil, err
+		if rep.Plan.RecordsSelected == 0 {
+			// Figure queries draw keywords from the corpus, so a provably
+			// empty plan means the harness itself is broken.
+			return Cell{}, fmt.Errorf("bench: plan proved figure query empty (k=%d r=%g)", q.K, q.Radius)
 		}
-		after := st.cache.Stats()
-		r.Counters[counterSegHits] = after.Hits - before.Hits
-		r.Counters[counterSegMisses] = after.Misses - before.Misses
-		r.Counters[counterSegBytesRead] = io.BytesRead.Load()
-		r.Counters[counterSegBytesDecoded] = io.BytesDecoded.Load()
-		r.Counters[counterSegBytesSelected] = bytesSelected
-		return r, nil
+		after := eng.SegmentCacheStats()
+		results = rep.Results
+		c := counterCell(rep.Counters, rep.TotalMillis, rep.MapMillis, rep.ReduceMillis)
+		c.SegCacheHits = after.Hits - before.Hits
+		c.SegCacheMisses = after.Misses - before.Misses
+		return c, nil
 	})
 	if err != nil {
 		return Cell{}, err
@@ -558,8 +514,8 @@ func (h *Harness) runPlanned(ds *data.Dataset, alg core.Algorithm, q core.Query,
 		if err != nil {
 			return Cell{}, fmt.Errorf("bench: verify reference: %w", err)
 		}
-		if !sameResults(rep.Results, ref.Results) {
-			return Cell{}, fmt.Errorf("bench: %v k=%d r=%g grid %d: planned columnar results differ from the full-scan reference",
+		if !sameResults(results, ref.Results) {
+			return Cell{}, fmt.Errorf("bench: %v k=%d r=%g grid %d: planned engine results differ from the full-scan reference",
 				alg, q.K, q.Radius, gridN)
 		}
 		cell.Verified = true
@@ -567,79 +523,41 @@ func (h *Harness) runPlanned(ds *data.Dataset, alg core.Algorithm, q core.Query,
 	return cell, nil
 }
 
-// dataView returns the cached data view of this generation over the
-// gridN grid, building it from all the generation's data blocks on first
-// use. Keyed on (generation, grid) through core.ViewKey exactly as the
-// engine keys its views, so the harness measures the cache behaviour the
-// engine ships.
-func (st *segStore) dataView(ds *data.Dataset, gridN int, io *data.SegIOStats) (*core.DataView, error) {
-	key := core.ViewKey(st.man.Generation, gridN, ds.Bounds(), nil)
-	return st.views.GetOrBuild(key, func() (*core.DataView, error) {
-		g := grid.New(ds.Bounds(), gridN, gridN)
-		sel := make([]data.ColSel, 0, len(st.man.Data))
-		for _, cs := range st.man.Data {
-			sel = append(sel, data.ColSel{Cell: cs})
-		}
-		in := data.NewColInput(st.store, sel, st.cache, st.man.Generation)
-		in.IO = io
-		return core.BuildDataView(g, in)
-	})
-}
-
 // sameResults compares two ranked result lists exactly (ids, locations
 // and bitwise scores): pruning and storage format may never change them.
-func sameResults(a, b []core.ResultItem) bool {
+func sameResults(a []spq.Result, b []core.ResultItem) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if a[i] != (spq.Result{ID: b[i].ID, X: b[i].Loc.X, Y: b[i].Loc.Y, Score: b[i].Score}) {
 			return false
 		}
 	}
 	return true
 }
 
-// measure runs the job cfg.Repeat times and reports the cell (and report)
-// with the minimum wall time — the standard way to factor scheduler and
-// GC noise out of a single-machine measurement. Job counters are
+// measure runs one measured execution cfg.Repeat times and reports the
+// cell with the minimum wall time — the standard way to factor scheduler
+// and GC noise out of a single-machine measurement. Job counters are
 // deterministic across repeats; the segment-cache deltas are not (the
 // first repeat decodes cold, later ones hit), so the cell always carries
 // the LAST repeat's cache deltas — the steady serving state the minimum
 // wall time corresponds to — regardless of which repeat was fastest.
-func (h *Harness) measure(run func() (*core.Report, error)) (Cell, *core.Report, error) {
+func (h *Harness) measure(run func() (Cell, error)) (Cell, error) {
 	repeat := h.cfg.Repeat
 	if repeat < 1 {
 		repeat = 1
 	}
 	var best Cell
-	var bestRep *core.Report
 	for i := 0; i < repeat; i++ {
-		rep, err := run()
+		cell, err := run()
 		if err != nil {
-			return Cell{}, nil, err
-		}
-		cell := Cell{
-			Millis:             float64(rep.Stats.Duration.Microseconds()) / 1000,
-			FeaturesExamined:   rep.Counters[core.CounterFeaturesExamined],
-			ScoreComputations:  rep.Counters[core.CounterScoreComputations],
-			Duplicates:         rep.Counters[core.CounterDuplicates],
-			ShuffledRecords:    rep.Counters[mapreduce.CounterMapRecordsOut],
-			MapMillis:          float64(rep.Stats.MapDuration.Microseconds()) / 1000,
-			ReduceMillis:       float64(rep.Stats.ReduceDuration.Microseconds()) / 1000,
-			BlocksScanned:      rep.Counters[plan.CounterBlocksScanned],
-			BlocksPruned:       rep.Counters[plan.CounterBlocksPruned],
-			PlanRecordsSkipped: rep.Counters[plan.CounterRecordsSkipped],
-			SegCacheHits:       rep.Counters[counterSegHits],
-			SegCacheMisses:     rep.Counters[counterSegMisses],
-			SegBytesRead:       rep.Counters[counterSegBytesRead],
-			SegBytesDecoded:    rep.Counters[counterSegBytesDecoded],
-			SegBytesSelected:   rep.Counters[counterSegBytesSelected],
+			return Cell{}, err
 		}
 		if i == 0 || cell.Millis < best.Millis {
 			bytesRead, bytesDecoded := best.SegBytesRead, best.SegBytesDecoded
 			best = cell
-			bestRep = rep
 			best.SegBytesRead, best.SegBytesDecoded = bytesRead, bytesDecoded
 		}
 		// Last repeat's cache deltas win regardless of which repeat was
@@ -649,7 +567,40 @@ func (h *Harness) measure(run func() (*core.Report, error)) (Cell, *core.Report,
 		best.SegBytesRead = max(best.SegBytesRead, cell.SegBytesRead)
 		best.SegBytesDecoded = max(best.SegBytesDecoded, cell.SegBytesDecoded)
 	}
-	return best, bestRep, nil
+	return best, nil
+}
+
+// measureJob measures one core job, for the figures that run on core
+// directly (the full-scan reference and the duplication, balance and
+// shuffle models).
+func (h *Harness) measureJob(run func() (*core.Report, error)) (Cell, error) {
+	return h.measure(func() (Cell, error) {
+		rep, err := run()
+		if err != nil {
+			return Cell{}, err
+		}
+		ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+		return counterCell(rep.Counters, ms(rep.Stats.Duration), ms(rep.Stats.MapDuration), ms(rep.Stats.ReduceDuration)), nil
+	})
+}
+
+// counterCell builds a cell from a job's timings and counters.
+func counterCell(c map[string]int64, total, mapMs, reduceMs float64) Cell {
+	return Cell{
+		Millis:             total,
+		FeaturesExamined:   c[core.CounterFeaturesExamined],
+		ScoreComputations:  c[core.CounterScoreComputations],
+		Duplicates:         c[core.CounterDuplicates],
+		ShuffledRecords:    c[mapreduce.CounterMapRecordsOut],
+		MapMillis:          mapMs,
+		ReduceMillis:       reduceMs,
+		BlocksScanned:      c[plan.CounterBlocksScanned],
+		BlocksPruned:       c[plan.CounterBlocksPruned],
+		PlanRecordsSkipped: c[plan.CounterRecordsSkipped],
+		SegBytesRead:       c[spq.CounterSegBytesRead],
+		SegBytesDecoded:    c[spq.CounterSegBytesDecoded],
+		SegBytesSelected:   c[spq.CounterSegBytesSelected],
+	}
 }
 
 // trim reduces a sweep to its endpoints in Quick mode.
@@ -906,7 +857,7 @@ func (h *Harness) loadBalance(id string) (*Figure, error) {
 	for _, reducers := range h.trim([]int{2, 4, 8, 16}) {
 		ideal := total / float64(reducers)
 		for _, balance := range []bool{false, true} {
-			cell, _, err := h.measure(func() (*core.Report, error) {
+			cell, err := h.measureJob(func() (*core.Report, error) {
 				src := mapreduce.NewMemorySource(h.objects(ds), h.cfg.MapSlots*2)
 				return core.Run(core.ESPQSco, src, q, core.Options{
 					Cluster:     h.cluster,
@@ -953,7 +904,7 @@ func (h *Harness) shuffleScaling(id string) (*Figure, error) {
 	for _, slots := range h.trim([]int{1, 2, 4, 8}) {
 		cluster := mapreduce.NewCluster(nil, slots, slots)
 		for _, spill := range []int{0, 4096} {
-			cell, _, err := h.measure(func() (*core.Report, error) {
+			cell, err := h.measureJob(func() (*core.Report, error) {
 				src := mapreduce.NewMemorySource(h.objects(ds), slots*2)
 				return core.Run(core.ESPQSco, src, q, core.Options{
 					Cluster:    cluster,

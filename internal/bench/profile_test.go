@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkPlannedClusteredQuery measures one fig-9c-style point (CL
-// dataset, grid 15, 3 keywords, r=10% of cell) end to end on the planned
-// columnar path. It is the profiling anchor for the storage read path.
+// dataset, grid 15, 3 keywords, r=10% of cell) as a planned spq.Engine
+// query on SPQ3 storage. It is the profiling anchor for the serving path.
 func BenchmarkPlannedClusteredQuery(b *testing.B) {
 	h := New(Config{MapSlots: 4, ReduceSlots: 4})
 	ds := h.dataset("CL", h.cfg.SizeSynthetic)

@@ -58,10 +58,6 @@ type Options struct {
 	// configuration. Smaller values make reduce tasks process several
 	// cells each.
 	NumReducers int
-	// DisableKeywordPrune turns off the Map-side pruning of features with
-	// no query keyword (Algorithm 1, line 9). Only used by the ablation
-	// benchmark; pruning never changes results.
-	DisableKeywordPrune bool
 	// LoadBalance assigns cells to reduce tasks by estimated cost (LPT
 	// over a sampled |Oi|·|Fi| model) instead of round-robin. Only
 	// meaningful when NumReducers is smaller than the number of cells; it
@@ -264,7 +260,7 @@ func buildJob(alg Algorithm, g *grid.Grid, q Query, opts Options, partition func
 	}
 	switch alg {
 	case PSPQ:
-		job.Map = mapPSPQ(g, q, opts)
+		job.Map = mapPSPQ(g, q)
 		job.Less = CellKeyAscLess
 		job.Compare = CellKeyAscCompare
 		if q.Mode == ScoreNearest {
@@ -273,13 +269,13 @@ func buildJob(alg Algorithm, g *grid.Grid, q Query, opts Options, partition func
 			job.Reduce = reduceScan(q, scanOpts{}, opts.DataView)
 		}
 	case ESPQLen:
-		job.Map = mapESPQLen(g, q, opts)
+		job.Map = mapESPQLen(g, q)
 		job.Less = CellKeyAscLess
 		job.Compare = CellKeyAscCompare
 		// Algorithm 4 = Algorithm 2 + the Equation-1 bound check.
 		job.Reduce = reduceScan(q, scanOpts{lenBound: true}, opts.DataView)
 	case ESPQSco:
-		job.Map = mapESPQSco(g, q, opts)
+		job.Map = mapESPQSco(g, q)
 		job.Less = CellKeyDescLess
 		job.Compare = CellKeyDescCompare
 		if q.Mode == ScoreRange {
@@ -342,13 +338,13 @@ func emitFeature(ctx *mapreduce.TaskContext, g *grid.Grid, radius float64, o dat
 
 // mapPSPQ is Algorithm 1. Data objects get Order 0 and feature objects
 // Order 1, so data objects precede features in each cell.
-func mapPSPQ(g *grid.Grid, q Query, opts Options) func(*mapreduce.TaskContext, data.Object, func(CellKey, data.Object)) error {
+func mapPSPQ(g *grid.Grid, q Query) func(*mapreduce.TaskContext, data.Object, func(CellKey, data.Object)) error {
 	return func(ctx *mapreduce.TaskContext, o data.Object, emit func(CellKey, data.Object)) error {
 		if o.Kind == data.DataObject {
 			emit(CellKey{Cell: g.CellOf(o.Loc), Order: 0}, o)
 			return nil
 		}
-		if !opts.DisableKeywordPrune && !q.Relevant(o) {
+		if !q.Relevant(o) {
 			ctx.Counter(CounterFeaturesPruned, 1)
 			return nil
 		}
@@ -359,13 +355,13 @@ func mapPSPQ(g *grid.Grid, q Query, opts Options) func(*mapreduce.TaskContext, d
 
 // mapESPQLen is Algorithm 3: the feature Order is |f.W|, so the reduce
 // phase sees short keyword lists (high Equation-1 bounds) first.
-func mapESPQLen(g *grid.Grid, q Query, opts Options) func(*mapreduce.TaskContext, data.Object, func(CellKey, data.Object)) error {
+func mapESPQLen(g *grid.Grid, q Query) func(*mapreduce.TaskContext, data.Object, func(CellKey, data.Object)) error {
 	return func(ctx *mapreduce.TaskContext, o data.Object, emit func(CellKey, data.Object)) error {
 		if o.Kind == data.DataObject {
 			emit(CellKey{Cell: g.CellOf(o.Loc), Order: 0}, o)
 			return nil
 		}
-		if !opts.DisableKeywordPrune && !q.Relevant(o) {
+		if !q.Relevant(o) {
 			ctx.Counter(CounterFeaturesPruned, 1)
 			return nil
 		}
@@ -378,14 +374,14 @@ func mapESPQLen(g *grid.Grid, q Query, opts Options) func(*mapreduce.TaskContext
 // phase and used as the feature Order; data objects get Order 2, strictly
 // above any Jaccard value, so under the descending comparator they still
 // arrive first.
-func mapESPQSco(g *grid.Grid, q Query, opts Options) func(*mapreduce.TaskContext, data.Object, func(CellKey, data.Object)) error {
+func mapESPQSco(g *grid.Grid, q Query) func(*mapreduce.TaskContext, data.Object, func(CellKey, data.Object)) error {
 	return func(ctx *mapreduce.TaskContext, o data.Object, emit func(CellKey, data.Object)) error {
 		if o.Kind == data.DataObject {
 			emit(CellKey{Cell: g.CellOf(o.Loc), Order: 2}, o)
 			return nil
 		}
 		w := q.Score(o)
-		if !opts.DisableKeywordPrune && w == 0 {
+		if w == 0 {
 			ctx.Counter(CounterFeaturesPruned, 1)
 			return nil
 		}

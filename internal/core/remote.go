@@ -37,33 +37,31 @@ type WireInfo struct {
 // worker needs to rebuild the job through buildJob. Keyword ids are
 // master-dictionary ids — the same id space the sealed files carry.
 type querySpec struct {
-	Alg                 int
-	K                   int
-	Radius              float64
-	Mode                int
-	Keywords            []uint32
-	Bounds              geo.Rect
-	GridN               int
-	NumReducers         int
-	DisableKeywordPrune bool
-	DictLen             int
-	Gen                 uint64
+	Alg         int
+	K           int
+	Radius      float64
+	Mode        int
+	Keywords    []uint32
+	Bounds      geo.Rect
+	GridN       int
+	NumReducers int
+	DictLen     int
+	Gen         uint64
 }
 
 // encodeQuerySpec serializes the job parameters for the wire.
 func encodeQuerySpec(alg Algorithm, q Query, opts Options) ([]byte, error) {
 	s := querySpec{
-		Alg:                 int(alg),
-		K:                   q.K,
-		Radius:              q.Radius,
-		Mode:                int(q.Mode),
-		Keywords:            q.Keywords,
-		Bounds:              opts.Bounds,
-		GridN:               opts.GridN,
-		NumReducers:         opts.NumReducers,
-		DisableKeywordPrune: opts.DisableKeywordPrune,
-		DictLen:             opts.Wire.DictLen,
-		Gen:                 opts.Wire.Gen,
+		Alg:         int(alg),
+		K:           q.K,
+		Radius:      q.Radius,
+		Mode:        int(q.Mode),
+		Keywords:    q.Keywords,
+		Bounds:      opts.Bounds,
+		GridN:       opts.GridN,
+		NumReducers: opts.NumReducers,
+		DictLen:     opts.Wire.DictLen,
+		Gen:         opts.Wire.Gen,
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
@@ -87,10 +85,9 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 	}
 	q := Query{K: s.K, Radius: s.Radius, Keywords: text.KeywordSet(s.Keywords), Mode: ScoringMode(s.Mode)}
 	opts := Options{
-		Bounds:              s.Bounds,
-		GridN:               s.GridN,
-		NumReducers:         s.NumReducers,
-		DisableKeywordPrune: s.DisableKeywordPrune,
+		Bounds:      s.Bounds,
+		GridN:       s.GridN,
+		NumReducers: s.NumReducers,
 	}
 	g := grid.New(s.Bounds, opts.gridN(), opts.gridN())
 	job, err := buildJob(Algorithm(s.Alg), g, q, opts, CellKeyPartition)
@@ -102,13 +99,6 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 	// job's tasks (released with the job), and the master dictionary
 	// prefix is pulled once, before the first text parse.
 	blocks := data.NewBlockCache(0)
-	var colKeywords []uint32
-	if !s.DisableKeywordPrune {
-		// Mirror the engine: the sorted query keywords let SPQ3 feature
-		// blocks resolve the Map-phase prune through their posting
-		// dictionaries. Disabled-prune ablations must see every record.
-		colKeywords = s.Keywords
-	}
 	// Per-attempt segment I/O stats: one SegIOStats per TaskIO, folded
 	// into the attempt's counter deltas when it finishes — so a worker's
 	// columnar reads ride TaskResult.Counters back to the master instead
@@ -175,7 +165,7 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 				return data.ParseLine(line, d)
 			}), nil
 		case "col":
-			in := &data.ColInput{R: io, Cache: blocks, Gen: s.Gen, Keywords: colKeywords, IO: segStatsFor(io)}
+			in := &data.ColInput{R: io, Cache: blocks, Gen: s.Gen, Keywords: s.Keywords, IO: segStatsFor(io)}
 			return in.OpenRef(ref)
 		default:
 			return nil, mapreduce.Permanent(fmt.Errorf("core: unknown split kind %q", ref.Kind))

@@ -231,7 +231,7 @@ func TestColInputCacheSharing(t *testing.T) {
 	}
 	cache := NewBlockCache(1 << 20)
 	drain := func(gen uint64) int {
-		in := NewColInput(store, SelectAllBlocks(man), cache, gen)
+		in := NewColInput(store, SelectCells(nil, man.Data, man.Features), cache, gen)
 		n := 0
 		if err := eachSourceObject(in, func(Object) { n++ }); err != nil {
 			t.Fatal(err)

@@ -32,8 +32,7 @@ type SegIOStats struct {
 
 // RangeReader is the storage access a columnar segment reader needs:
 // random-access ranged reads, nothing else. dfs.FileSystem satisfies it;
-// MemSegStore is the in-memory implementation used by the bench harness
-// and tests.
+// MemSegStore is the in-memory implementation used by tests.
 type RangeReader interface {
 	// ReadRange returns up to n bytes of the named file starting at off.
 	ReadRange(file string, off int64, n int) ([]byte, error)
@@ -69,17 +68,38 @@ type ColSel struct {
 	Blocks []int
 }
 
-// SelectAllBlocks builds the unpruned selection over a manifest's cells:
-// every cell, every block.
-func SelectAllBlocks(m *Manifest) []ColSel {
-	out := make([]ColSel, 0, len(m.Data)+len(m.Features))
-	for _, cs := range m.Data {
-		out = append(out, ColSel{Cell: cs})
-	}
-	for _, cs := range m.Features {
-		out = append(out, ColSel{Cell: cs})
+// SelectCells builds the read selection over one or more cell lists:
+// each cell with the surviving block indices blocks maps its file to (the
+// planner's Decision.Blocks). A cell without an entry — every cell when
+// blocks is nil, the unplanned path — is read whole.
+func SelectCells(blocks map[string][]int, cells ...[]CellStats) []ColSel {
+	var out []ColSel
+	for _, cs := range cells {
+		for _, c := range cs {
+			out = append(out, ColSel{Cell: c, Blocks: blocks[c.File]})
+		}
 	}
 	return out
+}
+
+// StoredBytes sums the stored (compressed) frame bytes of a block
+// selection. Unlike the bytes a read fetches, it does not depend on
+// segment-cache warmth, so it is the deterministic measure of what a
+// query selected.
+func StoredBytes(sels []ColSel) int64 {
+	var n int64
+	for _, sel := range sels {
+		if sel.Blocks == nil {
+			for _, bs := range sel.Cell.Blocks {
+				n += int64(bs.Length)
+			}
+			continue
+		}
+		for _, i := range sel.Blocks {
+			n += int64(sel.Cell.Blocks[i].Length)
+		}
+	}
+	return n
 }
 
 // ColInput is a MapReduce source over SPQ3 columnar segments: one split
@@ -105,8 +125,7 @@ type ColInput struct {
 	// (Algorithm 1 line 9) drops, so results are unchanged — the prune
 	// just happens before the records are materialized, via one
 	// dictionary intersection per block instead of one keyword-set
-	// intersection per record. Callers must set it only for queries that
-	// keep that prune enabled.
+	// intersection per record.
 	Keywords []uint32
 }
 

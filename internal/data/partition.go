@@ -151,18 +151,6 @@ type Manifest struct {
 	Features   []CellStats `json:"features"`
 }
 
-// Files returns every cell file of the manifest, data cells first.
-func (m *Manifest) Files() []string {
-	out := make([]string, 0, len(m.Data)+len(m.Features))
-	for _, c := range m.Data {
-		out = append(out, c.File)
-	}
-	for _, c := range m.Features {
-		out = append(out, c.File)
-	}
-	return out
-}
-
 // TotalRecords returns the total object count across both datasets.
 func (m *Manifest) TotalRecords() int64 {
 	var n int64
@@ -387,7 +375,7 @@ func (p *Partitions) SealDFS(fs *dfs.FileSystem, prefix string, dict *text.Dict,
 
 // SealSegments writes every cell partition as an SPQ3 segment into an
 // in-memory store and returns the manifest describing it: the columnar
-// analogue of SealMemory, used by harnesses and tests that want the full
+// analogue of SealMemory, used by tests that want the full
 // block-pruned read path without a simulated DFS underneath.
 // blockRecords <= 0 selects density-adaptive block sizing.
 func (p *Partitions) SealSegments(store MemSegStore, prefix string, dict *text.Dict, blockRecords int) (*Manifest, error) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -130,14 +131,14 @@ func TestSealDFSRoundTrip(t *testing.T) {
 		var back []Object
 		collect := func(o Object) { back = append(back, o) }
 		if format == FormatCompressed {
-			err = eachSourceObject(NewColInput(fs, SelectAllBlocks(man), nil, 0), collect)
+			err = eachSourceObject(NewColInput(fs, SelectCells(nil, man.Data, man.Features), nil, 0), collect)
 			if err != nil {
 				t.Fatalf("%s: read: %v", format, err)
 			}
 		} else {
-			for _, name := range man.Files() {
-				if err = eachTextObject(fs, name, dict, collect); err != nil {
-					t.Fatalf("%s: read %s: %v", format, name, err)
+			for _, cs := range slices.Concat(man.Data, man.Features) {
+				if err = eachTextObject(fs, cs.File, dict, collect); err != nil {
+					t.Fatalf("%s: read %s: %v", format, cs.File, err)
 				}
 			}
 		}

@@ -103,7 +103,7 @@ type Stats struct {
 	DeltaRecordsSelected int64
 }
 
-// Decision is the planner's output: the surviving cell files and the
+// Decision is the planner's output: the surviving cells and the
 // execution parameters for the MapReduce job.
 type Decision struct {
 	// Data and Features are the surviving sealed-base manifest entries.
@@ -114,9 +114,6 @@ type Decision struct {
 	// the caller handed in, resolvable against its in-memory delta layout.
 	DeltaData     []data.CellStats
 	DeltaFeatures []data.CellStats
-	// Files is the surviving sealed cell file set, data cells first. Delta
-	// cells are not files; they are returned separately above.
-	Files []string
 	// Blocks maps each surviving sealed cell file that carries block-level
 	// zone maps to the ascending indices of its surviving blocks: the
 	// planner prunes individual column blocks of SPQ3 segments the same
@@ -147,12 +144,6 @@ func (d *Decision) Counters() map[string]int64 {
 		CounterBlocksScanned:      int64(d.Stats.Blocks - d.Stats.BlocksPruned),
 		CounterBlocksPruned:       int64(d.Stats.BlocksPruned),
 	}
-}
-
-// Plan prunes the manifest's cells against the query and picks the
-// execution parameters.
-func Plan(m *data.Manifest, in Input) *Decision {
-	return PlanGenerations(m, nil, nil, in)
 }
 
 // unit is the planner's granule: one column block of an SPQ3 cell, or one
@@ -322,12 +313,6 @@ func planGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats
 	d.DeltaFeatures, selected = regroup(deltaFeatures, finalF, true, nil)
 	d.Stats.RecordsSelected += selected
 	d.Stats.DeltaRecordsSelected += selected
-	for _, cs := range d.Data {
-		d.Files = append(d.Files, cs.File)
-	}
-	for _, cs := range d.Features {
-		d.Files = append(d.Files, cs.File)
-	}
 	d.Stats.BlocksPruned = d.Stats.Blocks - countBlocks(survD) - countBlocks(finalF)
 	d.Stats.DataCellsPruned = d.Stats.DataCells - len(d.Data) - len(d.DeltaData)
 	d.Stats.FeatureCellsPruned = d.Stats.FeatureCells - len(d.Features) - len(d.DeltaFeatures)

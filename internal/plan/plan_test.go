@@ -56,7 +56,7 @@ func TestPlanKeywordAndDistancePruning(t *testing.T) {
 	// A query for an "a"-cluster keyword with a small radius must drop
 	// every "b"-cluster cell: its feature cells by keyword disjointness,
 	// its data cells because no surviving feature cell is in range.
-	d := Plan(m, Input{Radius: 0.02, Keywords: []string{"a3"}, ReduceSlots: 4})
+	d := PlanGenerations(m, nil, nil, Input{Radius: 0.02, Keywords: []string{"a3"}, ReduceSlots: 4})
 	if d.Empty() {
 		t.Fatal("plan empty for a matching query")
 	}
@@ -77,9 +77,6 @@ func TestPlanKeywordAndDistancePruning(t *testing.T) {
 	if got := records(d.Data) + records(d.Features); got != d.Stats.RecordsSelected {
 		t.Errorf("RecordsSelected = %d, cells sum to %d", d.Stats.RecordsSelected, got)
 	}
-	if len(d.Files) != len(d.Data)+len(d.Features) {
-		t.Errorf("Files = %d entries, want %d", len(d.Files), len(d.Data)+len(d.Features))
-	}
 	c := d.Counters()
 	if c[CounterRecordsSkipped] != d.Stats.RecordsTotal-d.Stats.RecordsSelected {
 		t.Errorf("records-skipped counter = %d", c[CounterRecordsSkipped])
@@ -88,7 +85,7 @@ func TestPlanKeywordAndDistancePruning(t *testing.T) {
 
 func TestPlanUnknownKeywordIsProvablyEmpty(t *testing.T) {
 	m := buildManifest(t, 16)
-	d := Plan(m, Input{Radius: 0.1, Keywords: []string{"no-such-word-xyzzy"}})
+	d := PlanGenerations(m, nil, nil, Input{Radius: 0.1, Keywords: []string{"no-such-word-xyzzy"}})
 	if !d.Empty() {
 		t.Errorf("plan for an out-of-vocabulary keyword kept %d data / %d feature cells",
 			len(d.Data), len(d.Features))
@@ -99,7 +96,7 @@ func TestPlanLargeRadiusKeepsEverythingRelevant(t *testing.T) {
 	m := buildManifest(t, 16)
 	// Radius spanning the whole space: distance pruning must keep every
 	// data cell; keyword pruning still drops cluster B's feature cells.
-	d := Plan(m, Input{Radius: 2, Keywords: []string{"a1"}})
+	d := PlanGenerations(m, nil, nil, Input{Radius: 2, Keywords: []string{"a1"}})
 	if len(d.Data) != len(m.Data) {
 		t.Errorf("kept %d of %d data cells under a space-covering radius", len(d.Data), len(m.Data))
 	}
@@ -162,11 +159,11 @@ func TestPlanGenerationsJointPruning(t *testing.T) {
 	if got := records(d.Data) + records(d.Features) + d.Stats.DeltaRecordsSelected; got != d.Stats.RecordsSelected {
 		t.Errorf("RecordsSelected = %d, survivors sum to %d", d.Stats.RecordsSelected, got)
 	}
-	// Delta cells never appear in the sealed file list.
-	for _, f := range d.Files {
+	// Delta cells never appear among the sealed survivors.
+	for _, f := range append(d.Data, d.Features...) {
 		for _, cs := range append(dd, df...) {
-			if f == cs.File {
-				t.Errorf("delta cell %s leaked into Files", f)
+			if f.File == cs.File {
+				t.Errorf("delta cell %s leaked into the sealed cells", f.File)
 			}
 		}
 	}
@@ -210,7 +207,7 @@ func TestPlanGenerationsEmptyAcrossBothSets(t *testing.T) {
 
 func TestPlanRespectsOverrides(t *testing.T) {
 	m := buildManifest(t, 8)
-	d := Plan(m, Input{Radius: 0.05, Keywords: []string{"a1", "b1"}, GridN: 7, NumReducers: 3})
+	d := PlanGenerations(m, nil, nil, Input{Radius: 0.05, Keywords: []string{"a1", "b1"}, GridN: 7, NumReducers: 3})
 	if d.GridN != 7 || d.NumReducers != 3 {
 		t.Errorf("overrides ignored: gridN=%d reducers=%d", d.GridN, d.NumReducers)
 	}
@@ -288,7 +285,7 @@ func TestPlanBlockGranularity(t *testing.T) {
 	// one cell of ~200 records split into ~25 blocks with tight bounds and
 	// per-block blooms.
 	m := buildColumnarManifest(t, 2, 8)
-	d := Plan(m, Input{Radius: 0.01, Keywords: []string{"a3"}, ReduceSlots: 4})
+	d := PlanGenerations(m, nil, nil, Input{Radius: 0.01, Keywords: []string{"a3"}, ReduceSlots: 4})
 	if d.Empty() {
 		t.Fatal("plan pruned everything for an in-vocabulary keyword")
 	}
@@ -325,7 +322,7 @@ func TestPlanBlockGranularity(t *testing.T) {
 	}
 	// Block pruning must be at least as sharp as cell pruning: re-plan the
 	// same corpus without block metadata and compare the records read.
-	coarse := Plan(buildManifest(t, 2), Input{Radius: 0.01, Keywords: []string{"a3"}, ReduceSlots: 4})
+	coarse := PlanGenerations(buildManifest(t, 2), nil, nil, Input{Radius: 0.01, Keywords: []string{"a3"}, ReduceSlots: 4})
 	if d.Stats.RecordsSelected > coarse.Stats.RecordsSelected {
 		t.Errorf("block-level selection (%d records) coarser than cell-level (%d)",
 			d.Stats.RecordsSelected, coarse.Stats.RecordsSelected)
@@ -342,7 +339,7 @@ func TestPlanBlockGranularity(t *testing.T) {
 // no block activity.
 func TestPlanBlockCountersZeroWithoutZoneMaps(t *testing.T) {
 	m := buildManifest(t, 8)
-	d := Plan(m, Input{Radius: 0.05, Keywords: []string{"a1"}})
+	d := PlanGenerations(m, nil, nil, Input{Radius: 0.05, Keywords: []string{"a1"}})
 	if d.Stats.Blocks != 0 || d.Stats.BlocksPruned != 0 {
 		t.Errorf("cell-granular manifest reported blocks: %+v", d.Stats)
 	}

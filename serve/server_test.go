@@ -584,3 +584,54 @@ func TestMetricsEndpoints(t *testing.T) {
 		t.Fatalf("stats served=%d gen=%d, want 1/7", st.Served, st.Generation)
 	}
 }
+
+// reportCounter wraps a real engine and counts the reports it returns:
+// every executed query returns one, every rejected query none.
+type reportCounter struct {
+	*spq.Engine
+	reports atomic.Int64
+}
+
+func (r *reportCounter) QueryReportContext(ctx context.Context, q spq.Query, opts ...spq.QueryOption) (*spq.Report, error) {
+	rep, err := r.Engine.QueryReportContext(ctx, q, opts...)
+	if rep != nil {
+		r.reports.Add(1)
+	}
+	return rep, err
+}
+
+// TestServerRejectsOutOfRangeGridAndReducers: grid_n and reducers arrive
+// from any client unchecked by the wire layer, so the engine's limits are
+// what keeps one request from scheduling millions of reduce tasks or
+// exhausting memory. Each out-of-range value gets 400/invalid_query and
+// no query executes.
+func TestServerRejectsOutOfRangeGridAndReducers(t *testing.T) {
+	eng := &reportCounter{Engine: testEngine(t)}
+	s := New(eng, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	q := engineQueries(t, eng.Engine, 1)[0]
+	cases := []struct {
+		name string
+		req  spq.QueryRequest
+	}{
+		{"grid 4096", spq.QueryRequest{Query: q, GridN: 4096}},
+		{"grid -3", spq.QueryRequest{Query: q, GridN: -3}},
+		{"reducers -5", spq.QueryRequest{Query: q, Reducers: -5}},
+		{"reducers 1<<40", spq.QueryRequest{Query: q, Reducers: 1 << 40}},
+		{"reducers above grid cells", spq.QueryRequest{Query: q, GridN: 4, Reducers: 17}},
+		{"planned reducers 1<<40", spq.QueryRequest{Query: q, AutoPlan: true, Reducers: 1 << 40}},
+	}
+	for _, c := range cases {
+		resp, code := postQuery(t, ts.URL, c.req)
+		if code != http.StatusBadRequest || resp.Code != spq.CodeInvalidQuery {
+			t.Errorf("%s: got %d/%q, want 400/%s", c.name, code, resp.Code, spq.CodeInvalidQuery)
+		}
+	}
+	if n := eng.reports.Load(); n != 0 {
+		t.Errorf("%d rejected requests executed a query", n)
+	}
+	if _, code := postQuery(t, ts.URL, spq.QueryRequest{Query: q, GridN: 4, Reducers: 16}); code != http.StatusOK {
+		t.Errorf("in-range grid_n/reducers got %d, want 200", code)
+	}
+}

@@ -158,8 +158,6 @@ type EffectiveOptions struct {
 	Reducers int `json:"reducers,omitempty"`
 	// SpillEvery is the map-side spill threshold from WithSpill; 0 = off.
 	SpillEvery int `json:"spill_every,omitempty"`
-	// SealGridN is the seal-grid override from WithSealGrid; 0 = default.
-	SealGridN int `json:"seal_grid_n,omitempty"`
 }
 
 // Options returns the effective execution settings the query ran with.
@@ -204,17 +202,34 @@ type PlanStats struct {
 type QueryOption func(*queryConfig)
 
 type queryConfig struct {
-	alg         core.Algorithm
-	gridN       int
-	gridSet     bool
-	reducers    int
-	spillEvery  int
-	bounds      *geo.Rect
-	autoPlan    bool
-	sealGridN   int
-	sealGridSet bool
-	noCache     bool
-	noDelta     bool
+	alg        core.Algorithm
+	gridN      int
+	gridSet    bool
+	reducers   int
+	spillEvery int
+	bounds     *geo.Rect
+	autoPlan   bool
+	noCache    bool
+	noDelta    bool
+}
+
+// MaxGridN bounds the query-time grid edge WithGrid may request: 8x the
+// planner's own cap and 10x the paper's largest grid (100x100). A job
+// schedules up to one reduce task per grid cell, so an unbounded edge
+// would let one request allocate millions of tasks.
+const MaxGridN = 1024
+
+// validate rejects option values no job can run with, before any snapshot,
+// cache or plan work. The reducer count is checked against the grid once
+// the plan has resolved it (see Engine.planQuery).
+func (c *queryConfig) validate() error {
+	if c.gridSet && (c.gridN <= 0 || c.gridN > MaxGridN) {
+		return fmt.Errorf("%w: grid size %d, must be in [1, %d]", ErrInvalidQuery, c.gridN, MaxGridN)
+	}
+	if c.reducers < 0 {
+		return fmt.Errorf("%w: reducers %d, must not be negative", ErrInvalidQuery, c.reducers)
+	}
+	return nil
 }
 
 // WithAlgorithm selects the processing algorithm (default ESPQSco).
@@ -225,7 +240,7 @@ func WithAlgorithm(a Algorithm) QueryOption {
 // WithGrid sets the query-time grid to n x n cells (default 16x16, or
 // planner-chosen under WithAutoPlan). More cells mean more parallelism and
 // cheaper reduce tasks at the cost of more feature duplication (Section
-// 6.3 of the paper).
+// 6.3 of the paper). n must be in [1, MaxGridN].
 func WithGrid(n int) QueryOption {
 	return func(c *queryConfig) { c.gridN = n; c.gridSet = true }
 }
@@ -241,14 +256,6 @@ func WithGrid(n int) QueryOption {
 // WithGrid and WithReducers still override the planner's choices.
 func WithAutoPlan() QueryOption {
 	return func(c *queryConfig) { c.autoPlan = true }
-}
-
-// WithSealGrid sets the seal grid to n x n cells for the implicit Seal
-// performed by the first query (default Config.SealGridN). It is ignored
-// if the engine is already sealed; compactions re-use the grid edge the
-// base generation was sealed with.
-func WithSealGrid(n int) QueryOption {
-	return func(c *queryConfig) { c.sealGridN = n; c.sealGridSet = true }
 }
 
 // WithCache controls this execution's participation in the engine's query
@@ -273,7 +280,8 @@ func WithDelta(enabled bool) QueryOption {
 }
 
 // WithReducers overrides the number of reduce tasks (default: one per grid
-// cell, the paper's configuration).
+// cell, the paper's configuration). A negative count, or one above the
+// query grid's cell count, is rejected with ErrInvalidQuery.
 func WithReducers(r int) QueryOption {
 	return func(c *queryConfig) { c.reducers = r }
 }
@@ -347,6 +355,5 @@ func (c *queryConfig) effectiveOptions(cacheEnabled bool) EffectiveOptions {
 		GridN:      c.gridN,
 		Reducers:   c.reducers,
 		SpillEvery: c.spillEvery,
-		SealGridN:  c.sealGridN,
 	}
 }

@@ -1,6 +1,7 @@
 package spq
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -298,6 +299,57 @@ func TestWithReducers(t *testing.T) {
 	}
 	if len(res) != 1 || res[0].ID != 1 {
 		t.Errorf("res = %+v", res)
+	}
+}
+
+// TestGridAndReducerLimits: grid edges outside [1, MaxGridN], negative
+// reducer counts and reducer counts above the resolved grid's cell count
+// are rejected with ErrInvalidQuery before any job starts — unchecked,
+// WithGrid(4096) schedules 16.7M reduce tasks and WithReducers(1<<40)
+// exhausts memory. The planner resolves the grid of planned queries, and
+// a planner-proven-empty query is checked like an executed one.
+func TestGridAndReducerLimits(t *testing.T) {
+	e := NewEngine(Config{Storage: StorageMemory, Seed: 3})
+	if err := e.LoadSynthetic("uniform", 2000); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{K: 3, Radius: 0.05, Keywords: e.FrequentKeywords(2)}
+	nowhere := Query{K: 3, Radius: 0.05, Keywords: []string{"zzz-occurs-nowhere"}}
+	cases := []struct {
+		name string
+		q    Query
+		opts []QueryOption
+		ok   bool
+	}{
+		{"grid 0", q, []QueryOption{WithGrid(0)}, false},
+		{"grid -1", q, []QueryOption{WithGrid(-1)}, false},
+		{"grid max+1", q, []QueryOption{WithGrid(MaxGridN + 1)}, false},
+		{"grid 4096", q, []QueryOption{WithGrid(4096)}, false},
+		{"planned grid 4096", q, []QueryOption{WithAutoPlan(), WithGrid(4096)}, false},
+		{"reducers -5", q, []QueryOption{WithReducers(-5)}, false},
+		{"reducers 1<<40", q, []QueryOption{WithReducers(1 << 40)}, false},
+		{"reducers above default grid", q, []QueryOption{WithReducers(defaultGridN*defaultGridN + 1)}, false},
+		{"reducers above grid 4", q, []QueryOption{WithGrid(4), WithReducers(17)}, false},
+		{"planned reducers 1<<40", q, []QueryOption{WithAutoPlan(), WithReducers(1 << 40)}, false},
+		{"planned empty reducers 1<<40", nowhere, []QueryOption{WithAutoPlan(), WithReducers(1 << 40)}, false},
+		{"reducers = grid 4 cells", q, []QueryOption{WithGrid(4), WithReducers(16)}, true},
+		{"reducers = default grid cells", q, []QueryOption{WithReducers(defaultGridN * defaultGridN)}, true},
+		{"planned reducers 1", q, []QueryOption{WithAutoPlan(), WithReducers(1)}, true},
+	}
+	for _, c := range cases {
+		rep, err := e.QueryReport(c.q, append(c.opts, WithCache(false))...)
+		if c.ok {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrInvalidQuery) {
+			t.Errorf("%s: err = %v, want ErrInvalidQuery", c.name, err)
+		}
+		if rep != nil {
+			t.Errorf("%s: got a report for a rejected query", c.name)
+		}
 	}
 }
 

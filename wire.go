@@ -27,7 +27,8 @@ type QueryRequest struct {
 	Cache *bool `json:"cache,omitempty"`
 	Delta *bool `json:"delta,omitempty"`
 	// GridN and Reducers override the query-time grid and reduce-task
-	// count (WithGrid / WithReducers) when positive.
+	// count (WithGrid / WithReducers) when non-zero; the engine rejects
+	// out-of-range values with ErrInvalidQuery (see MaxGridN).
 	GridN    int `json:"grid_n,omitempty"`
 	Reducers int `json:"reducers,omitempty"`
 	// Tenant names the requesting tenant for per-tenant quotas; empty
