@@ -10,11 +10,13 @@ import (
 )
 
 // TestDataViewSharedAcrossKeywordSets: the data view is keyed on
-// (generation, grid) alone, so delta-free queries with different keywords
-// — and therefore different pruned data-block selections — that land on
-// the same planner grid reuse one view built over all the generation's
-// data blocks. Results stay identical to the view-less text storage path
-// and to the brute-force oracle for every algorithm and scoring mode.
+// (generation, grid) alone, and the planner sizes the grid from the
+// generation, so delta-free planned queries with different keywords — and
+// therefore different selectivity and pruned data-block selections — reuse
+// one view built over all the generation's data blocks. Only the query
+// that built it counts a view build. Results stay identical to the
+// view-less text storage path and to the brute-force oracle for every
+// algorithm and scoring mode.
 func TestDataViewSharedAcrossKeywordSets(t *testing.T) {
 	const n, clusters = 6000, 6
 	dataObjs, feats := clusteredCorpus(n, clusters)
@@ -56,7 +58,10 @@ func TestDataViewSharedAcrossKeywordSets(t *testing.T) {
 		if i == 0 {
 			gridN = rep.Plan.GridN
 		} else if rep.Plan.GridN != gridN {
-			t.Fatalf("planner grids differ (%d vs %d); pick keyword sets of similar selectivity", gridN, rep.Plan.GridN)
+			t.Fatalf("planner grids differ (%d vs %d) on one generation", gridN, rep.Plan.GridN)
+		}
+		if wantBuilds := int64(1 - i); rep.Counters[CounterViewBuilds] != wantBuilds {
+			t.Fatalf("query %d counted %d view builds, want %d", i+1, rep.Counters[CounterViewBuilds], wantBuilds)
 		}
 		blocks = append(blocks, fmt.Sprint(rep.Plan.RecordsSelected, rep.Plan.BlocksPruned))
 		hits, misses, entries, records := ev.viewCache.Stats()

@@ -1,10 +1,13 @@
 package spq
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"spq/internal/core"
+	"spq/internal/data"
 	"spq/internal/mapreduce"
 )
 
@@ -57,10 +60,92 @@ func distQueries(kws []string, n int) []Query {
 	return qs
 }
 
+// engineObjects returns a copy of every object loaded into e.
+func engineObjects(e *Engine) []data.Object {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]data.Object(nil), e.allObjectsLocked()...)
+}
+
+// oracleResults scores q over objs by brute force, with e's keyword ids.
+func oracleResults(e *Engine, objs []data.Object, q Query) []Result {
+	return toResults(core.NaiveCentralized(objs, core.Query{
+		K: q.K, Radius: q.Radius, Keywords: e.dict.InternAll(q.Keywords), Mode: q.Mode}))
+}
+
+// checkDistributedViewPath runs planned SPQ3 queries on a fresh
+// distributed engine and its in-process reference. Both take the
+// data-view path, so the distributed map side reads exactly the feature
+// records the in-process one reads; results are byte-identical to the
+// reference and to the brute-force oracle; every worker builds its view
+// of the generation at most once; and a repeated query, with the view
+// built and the feature blocks mirrored, moves at most a tenth of the
+// first query's RPC bytes.
+func checkDistributedViewPath(t *testing.T, ref, eng *Engine, queries []Query) {
+	t.Helper()
+	objs := engineObjects(ref)
+	builds := make(map[string]int64)
+	var firstBytes int64
+	for qi, q := range queries {
+		want, err := ref.QueryReport(q, WithAutoPlan(), WithCache(false))
+		if err != nil {
+			t.Fatalf("planned reference q%d: %v", qi, err)
+		}
+		got, err := eng.QueryReport(q, WithAutoPlan(), WithCache(false))
+		if err != nil {
+			t.Fatalf("planned q%d: %v", qi, err)
+		}
+		if got.Counters[CounterExecFallbackLocal] != 0 {
+			t.Errorf("planned q%d fell back to local execution", qi)
+		}
+		if g, w := got.Counters[mapreduce.CounterMapRecordsIn], want.Counters[mapreduce.CounterMapRecordsIn]; g != w {
+			t.Errorf("planned q%d: map.records.in = %d distributed, %d in-process", qi, g, w)
+		}
+		if d := diffResults(got.Results, want.Results); d != "" {
+			t.Errorf("planned q%d: %s", qi, d)
+		}
+		if oracle := oracleResults(ref, objs, q); !resultsEqual(got.Results, oracle) {
+			t.Errorf("planned q%d differs from the oracle\ngot:    %+v\noracle: %+v", qi, got.Results, oracle)
+		}
+		var perWorker int64
+		for _, w := range eng.Workers() {
+			builds[w] += got.Counters[CounterViewBuilds+"."+w]
+			perWorker += got.Counters[CounterViewBuilds+"."+w]
+		}
+		if perWorker != got.Counters[CounterViewBuilds] {
+			t.Errorf("planned q%d: %d view builds, %d attributed to workers", qi, got.Counters[CounterViewBuilds], perWorker)
+		}
+		if qi == 0 {
+			firstBytes = got.Counters[CounterExecRPCBytes]
+		}
+	}
+	var total int64
+	for w, n := range builds {
+		if n > 1 {
+			t.Errorf("worker %s built %d data views of one generation, want at most 1", w, n)
+		}
+		total += n
+	}
+	if total == 0 {
+		t.Error("no worker built a data view")
+	}
+
+	rep, err := eng.QueryReport(queries[0], WithAutoPlan(), WithCache(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Counters[CounterViewBuilds] != 0 {
+		t.Errorf("repeated query built %d data views", rep.Counters[CounterViewBuilds])
+	}
+	if b := rep.Counters[CounterExecRPCBytes]; firstBytes == 0 || b*10 > firstBytes {
+		t.Errorf("repeated query moved %d RPC bytes, want at most a tenth of the first query's %d", b, firstBytes)
+	}
+}
+
 // Conformance: for every storage format, every algorithm, and 1/2/4
 // workers, a distributed engine must return results byte-identical to the
 // in-process reference — and must actually ship the jobs rather than fall
-// back to local execution.
+// back to local execution. SPQ3 engines also pass checkDistributedViewPath.
 func TestDistributedConformance(t *testing.T) {
 	storages := []struct {
 		name string
@@ -111,6 +196,9 @@ func TestDistributedConformance(t *testing.T) {
 					if !eng.Distributed() || len(eng.Workers()) != wc {
 						t.Fatalf("Distributed()=%v Workers()=%v, want %d workers",
 							eng.Distributed(), eng.Workers(), wc)
+					}
+					if st.cfg.Storage == StorageDFSBinary {
+						checkDistributedViewPath(t, ref, eng, queries)
 					}
 					i := 0
 					for _, a := range algs {
@@ -194,6 +282,49 @@ func TestDistributedMemoryFallback(t *testing.T) {
 	}
 	if rep.Counters[CounterExecFallbackLocal] == 0 {
 		t.Error("memory-source job not metered as a local fallback")
+	}
+}
+
+// A data-view job that cannot ship (here: a fault-injection hook keeps it
+// in-process) runs locally on a source of feature objects only. Its
+// reduce tasks must then build the master's own view from the manifest
+// the wire names — results equal the oracle — or, with no file system to
+// build it from, fail with ErrViewUnavailable. Reducing without the data
+// objects would return an empty or partial top-k instead.
+func TestDistributedViewFallback(t *testing.T) {
+	cfg := Config{Storage: StorageDFSBinary, Nodes: 4, BlockSize: 8 << 10, MapSlots: 4, ReduceSlots: 2}
+	cfg.Workers = distWorkers(t, 2, 2)
+	eng := distEngine(t, cfg, 1200)
+	s := eng.snap.Load()
+	q := distQueries(eng.FrequentKeywords(8), 1)[0]
+	cq := core.Query{K: q.K, Radius: q.Radius, Keywords: eng.dict.InternAll(q.Keywords)}
+	features := data.NewColInput(eng.fs, data.SelectCells(nil, s.manifest.Features), nil, s.manifest.Generation)
+	opts := core.Options{
+		Cluster:       eng.cluster,
+		Bounds:        s.bounds,
+		GridN:         8,
+		Wire:          &core.WireInfo{DictLen: eng.dict.Size(), Gen: s.manifest.Generation, View: s.manifestFile},
+		FaultInjector: func(mapreduce.TaskKind, int, int) error { return nil },
+	}
+	rep, err := core.Run(core.ESPQSco, features, cq, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Counters[CounterExecFallbackLocal] != 1 {
+		t.Fatalf("job was not a local fallback: %s = %d", CounterExecFallbackLocal, rep.Counters[CounterExecFallbackLocal])
+	}
+	if rep.Counters[CounterViewBuilds] != 1 {
+		t.Errorf("local fallback built %d data views, want 1", rep.Counters[CounterViewBuilds])
+	}
+	got := toResults(rep.Results)
+	if want := oracleResults(eng, engineObjects(eng), q); len(got) == 0 || !resultsEqual(got, want) {
+		t.Errorf("local fallback lost the data half\ngot:    %+v\noracle: %+v", got, want)
+	}
+
+	opts.Cluster = mapreduce.NewCluster(nil, 2, 2)
+	opts.Cluster.Executor = eng.cluster.Executor
+	if rep, err := core.Run(core.ESPQSco, features, cq, opts); !errors.Is(err, core.ErrViewUnavailable) {
+		t.Fatalf("fallback without a file system: err = %v (results %+v), want ErrViewUnavailable", err, rep)
 	}
 }
 

@@ -66,6 +66,13 @@ const (
 	CounterSegBytesSelected = "spq.seg.bytes.selected"
 )
 
+// CounterViewBuilds counts the data views a query built: 1 on the
+// in-process query that built its generation's view and, on a distributed
+// engine, the views the query's reduce tasks built on workers, with the
+// per-worker count under the same name plus a "."+worker suffix. Queries
+// served from cached views count 0.
+const CounterViewBuilds = core.CounterViewBuilds
+
 // DefaultSealGridN is the default seal grid edge: Seal partitions the
 // datasets into DefaultSealGridN² per-cell files (plus a manifest) unless
 // Config.SealGridN overrides it.
@@ -200,7 +207,10 @@ type snapshot struct {
 	// unreachable without an explicit flush.
 	gen      uint64
 	manifest *data.Manifest
-	bounds   geo.Rect
+	// manifestFile names the manifest persisted next to the base
+	// generation's cell files; "" under memory storage.
+	manifestFile string
+	bounds       geo.Rect
 	// Memory-mode layout: the cell-ordered object slice and the name to
 	// index-range mapping of its partitions. Nil under DFS storage.
 	sealedObjs []data.Object
@@ -265,9 +275,10 @@ type Engine struct {
 	// Sealed state: the manifest of the partitioned storage layout, plus
 	// — under StorageMemory — the cell-ordered object slice and the name
 	// to index-range layout of its partitions.
-	manifest   *data.Manifest
-	sealedObjs []data.Object
-	memLayout  map[string]memRange
+	manifest     *data.Manifest
+	manifestFile string
+	sealedObjs   []data.Object
+	memLayout    map[string]memRange
 
 	// delta holds the records appended after the last seal or compaction,
 	// in append order. It is append-only between compactions: published
@@ -501,11 +512,12 @@ func (e *Engine) commitLocked() error {
 func (e *Engine) publishLocked() {
 	e.gen++
 	s := &snapshot{
-		gen:        e.gen,
-		manifest:   e.manifest,
-		bounds:     e.bounds,
-		sealedObjs: e.sealedObjs,
-		memLayout:  e.memLayout,
+		gen:          e.gen,
+		manifest:     e.manifest,
+		manifestFile: e.manifestFile,
+		bounds:       e.bounds,
+		sealedObjs:   e.sealedObjs,
+		memLayout:    e.memLayout,
 	}
 	if len(e.delta) > 0 {
 		s.delta = &deltaState{objs: e.delta[:len(e.delta)]}
@@ -664,12 +676,12 @@ func (e *Engine) writeGenerationLocked(objs []data.Object) error {
 		if err != nil {
 			return fmt.Errorf("spq: seal: %w", err)
 		}
-		e.manifest = man
+		e.manifest, e.manifestFile = man, data.ManifestFileName(prefix)
 		e.objects = objs // retained: future compactions re-seal base+delta
 		e.sealedObjs, e.memLayout = nil, nil
 	default:
 		man, ordered := parts.SealMemory(prefix, e.dict)
-		e.manifest = man
+		e.manifest, e.manifestFile = man, ""
 		e.sealedObjs = ordered
 		e.objects = nil
 		e.memLayout = cellLayout(man.Data, man.Features)
@@ -985,21 +997,28 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) (*querySel, e
 // querySource is the source stage's output: the job's input, plus the
 // data view and segment I/O stats that go with an SPQ3 read.
 type querySource struct {
-	src  mapreduce.Source[data.Object]
-	view *core.DataView
-	io   *data.SegIOStats
+	src mapreduce.Source[data.Object]
+	// view is the in-process engine's data view; viewFile instead names
+	// the manifest a distributed engine's workers build their views from.
+	// At most one is set, and only when the source yields features only.
+	view      *core.DataView
+	viewFile  string
+	viewBuilt bool
+	io        *data.SegIOStats
 }
 
 // source is the source stage: one switch on the sealed format turns the
 // selection into the job's input — coalesced DFS line splits for text,
 // column-block reads through the segment cache with the query keywords
 // pushed down for SPQ3, chunks of the sealed layout for memory — and the
-// delta source, if any, is appended. SPQ3 queries with no visible delta on
-// an in-process engine take the data-view path: the generation's data
-// blocks become (or reuse) the dense per-grid layout, and the job shuffles
-// the selected feature records only. Appended records cannot be in a
-// sealed view, and a worker cannot receive one, so the other queries carry
-// both kinds in-stream.
+// delta source, if any, is appended. Every SPQ3 query with no visible
+// delta takes the data-view path: the job reads and shuffles the selected
+// feature records only, and reduce tasks take the data objects from the
+// generation's dense per-grid layout. An in-process engine builds (or
+// reuses) that view here; a distributed engine names the generation's
+// manifest instead, and each worker builds and caches its own view on its
+// first reduce task. Appended records cannot be in a sealed view, so
+// queries with a visible delta carry both kinds in-stream.
 func (e *Engine) source(s *snapshot, sel *querySel, kws []uint32, bounds geo.Rect) (*querySource, error) {
 	cells := sel.cells
 	in := &querySource{}
@@ -1014,12 +1033,17 @@ func (e *Engine) source(s *snapshot, sel *querySel, kws []uint32, bounds geo.Rec
 		}, files...), e.cfg.MapSlots*4)
 	case data.FormatCompressed:
 		in.io = &data.SegIOStats{}
-		if sel.deltaStats.Records == 0 && e.exec == nil {
-			v, err := e.dataView(s, sel.gridN, bounds, in.io)
-			if err != nil {
-				return nil, err
+		if sel.deltaStats.Records == 0 {
+			if e.exec != nil {
+				in.viewFile = s.manifestFile
+			} else {
+				v, built, err := e.dataView(s, sel.gridN, bounds, in.io)
+				if err != nil {
+					return nil, err
+				}
+				in.view, in.viewBuilt = v, built
 			}
-			in.view, cells = v, sel.cells[sel.nData:]
+			cells = sel.cells[sel.nData:]
 		}
 		col := data.NewColInput(e.fs, cells, e.segCache, s.manifest.Generation)
 		col.IO = in.io
@@ -1048,7 +1072,7 @@ func (e *Engine) execute(ctx context.Context, s *snapshot, sel *querySel, in *qu
 	}
 	var wire *core.WireInfo
 	if e.exec != nil {
-		wire = &core.WireInfo{DictLen: e.dict.Size(), Gen: s.manifest.Generation}
+		wire = &core.WireInfo{DictLen: e.dict.Size(), Gen: s.manifest.Generation, View: in.viewFile}
 	}
 	job, err := core.RunContext(ctx, cfg.alg, in.src, cq, core.Options{
 		Cluster:       e.cluster,
@@ -1074,6 +1098,9 @@ func (e *Engine) execute(ctx context.Context, s *snapshot, sel *querySel, in *qu
 		job.Counters[CounterSegBytesRead] += in.io.BytesRead.Load()
 		job.Counters[CounterSegBytesDecoded] += in.io.BytesDecoded.Load()
 		job.Counters[CounterSegBytesSelected] = data.StoredBytes(sel.cells)
+	}
+	if in.viewBuilt {
+		job.Counters[CounterViewBuilds]++
 	}
 	rep.Results = toResults(job.Results)
 	rep.Counters = job.Counters
@@ -1126,16 +1153,19 @@ func newPlanStats(d *plan.Decision) *PlanStats {
 
 // dataView returns the cached data view of this generation over the query
 // grid (gridN x gridN cells tiling bounds), building it from all the
-// generation's sealed data blocks on first use. The key leaves out the
-// query's pruned block selection on purpose: objects in pruned blocks have
-// no surviving feature within r, and reduce only visits the cells that
-// features reach and never reports an object scoring 0, so one view per
-// (generation, grid) serves every query on that grid with identical
-// results. Concurrent cold queries for the same view — every in-flight
-// client right after a compaction — share one build.
-func (e *Engine) dataView(s *snapshot, gridN int, bounds geo.Rect, io *data.SegIOStats) (*core.DataView, error) {
+// generation's sealed data blocks on first use; built reports whether this
+// call built it. The key leaves out the query's pruned block selection on
+// purpose: objects in pruned blocks have no surviving feature within r,
+// and reduce only visits the cells that features reach and never reports
+// an object scoring 0, so one view per (generation, grid) serves every
+// query on that grid with identical results — and since the planner sizes
+// the grid from the generation's record count, every planned query on a
+// generation shares one grid. Concurrent cold queries for the same view —
+// every in-flight client right after a compaction — share one build.
+func (e *Engine) dataView(s *snapshot, gridN int, bounds geo.Rect, io *data.SegIOStats) (v *core.DataView, built bool, err error) {
 	key := core.ViewKey(s.manifest.Generation, gridN, bounds, nil)
 	build := func() (*core.DataView, error) {
+		built = true
 		g := grid.New(bounds, gridN, gridN)
 		in := data.NewColInput(e.fs, data.SelectCells(nil, s.manifest.Data), e.segCache, s.manifest.Generation)
 		in.IO = io
@@ -1144,16 +1174,15 @@ func (e *Engine) dataView(s *snapshot, gridN int, bounds geo.Rect, io *data.SegI
 	// View builds run outside the MapReduce task retry loop, so they get
 	// their own attempt budget against transient injected read errors.
 	// Failed builds are never cached, so each attempt re-reads the blocks.
-	var v *core.DataView
-	var err error
 	for attempt := 1; ; attempt++ {
+		built = false
 		v, err = e.viewCache.GetOrBuild(key, build)
 		if err == nil || attempt >= e.cfg.MaxAttempts {
-			return v, err
+			return v, built && err == nil, err
 		}
 		var re *dfs.ReplicaError
 		if !errors.As(err, &re) || !re.IsTransient() {
-			return v, err
+			return v, false, err
 		}
 	}
 }

@@ -159,46 +159,57 @@ func (b *objGrid) each(p geo.Point, r float64, fn func(i int32)) int64 {
 // exactly once per group; the rebuild-on-growth check keeps the exotic
 // interleaved case (identical sort keys for data and features) correct.
 //
-// Under a DataView the group is seeded with the view cell's shared slice
-// and prebuilt index instead (setView); shared backing arrays are never
-// written — add copies out first — and never survive into the scratch
-// pool.
+// Under a DataView the group is seeded with the view cell's shared
+// columns and prebuilt index instead (setView): ids, xs and ys alias
+// immutable view memory that other queries read concurrently, so they are
+// never written — add copies the cell out into objs first — and never
+// survive into the scratch pool.
 type groupObjs struct {
 	objs []data.Object
-	// xs/ys are the view cell's dense coordinate columns, permuted into
-	// bucket order with the index (see BuildDataView); non-nil only on a
-	// view-seeded group, where they enable the scanSpan kernel. Growing
-	// the group leaves them stale, so add clears them and the scoring
-	// paths fall back to the per-object closures.
+	// ids/xs/ys are the view cell's dense id and coordinate columns,
+	// permuted into bucket order with the index (see BuildDataView);
+	// non-nil only on a view-seeded group, where objs stays empty and the
+	// scanSpan kernel scores the columns directly.
+	ids     []uint64
 	xs, ys  []float64
 	index   *objGrid
 	indexed int // len(objs) the index was last built over
-	// shared marks objs as aliasing an immutable DataView cell: growing
-	// the group (delta records arriving in-stream) must copy out first,
-	// and the scratch pool must drop the alias rather than truncate it —
-	// appending through a truncated alias would scribble over view memory
-	// other queries are concurrently reading.
-	shared bool
 }
 
 func (g *groupObjs) add(o data.Object) {
-	g.xs, g.ys = nil, nil
-	if g.shared {
-		g.objs = append(append(make([]data.Object, 0, len(g.objs)+8), g.objs...), o)
-		g.shared = false
-		return
+	if g.ids != nil {
+		// Copy the view cell out: the group now grows in objs, and its
+		// index is rebuilt over the grown slice on the next probe.
+		for i, id := range g.ids {
+			g.objs = append(g.objs, data.Object{Kind: data.DataObject, ID: id, Loc: geo.Point{X: g.xs[i], Y: g.ys[i]}})
+		}
+		g.ids, g.xs, g.ys = nil, nil, nil
 	}
 	g.objs = append(g.objs, o)
 }
 
-// setView seeds the group with a view cell's objects, coordinate columns
+// setView seeds the group with a view cell's id and coordinate columns
 // and prebuilt index.
 func (g *groupObjs) setView(vc *viewCell) {
-	g.objs = vc.objs
-	g.xs, g.ys = vc.xs, vc.ys
+	g.ids, g.xs, g.ys = vc.ids, vc.xs, vc.ys
 	g.index = vc.index
-	g.indexed = len(vc.objs)
-	g.shared = true
+	g.indexed = len(vc.ids)
+}
+
+// len returns the number of data objects in the group.
+func (g *groupObjs) len() int {
+	if g.ids != nil {
+		return len(g.ids)
+	}
+	return len(g.objs)
+}
+
+// result is object i of the group as a ranked result with the given score.
+func (g *groupObjs) result(i int32, score float64) ResultItem {
+	if g.ids != nil {
+		return ResultItem{ID: g.ids[i], Loc: geo.Point{X: g.xs[i], Y: g.ys[i]}, Score: score}
+	}
+	return ResultItem{ID: g.objs[i].ID, Loc: g.objs[i].Loc, Score: score}
 }
 
 // reduceScratch is the pooled per-group state of the reduce functions:
@@ -226,15 +237,8 @@ var scratchPool = sync.Pool{New: func() any { return new(reduceScratch) }}
 // Return it with putScratch when the group is done.
 func getScratch(k int) *reduceScratch {
 	s := scratchPool.Get().(*reduceScratch)
-	if s.g.shared {
-		// The previous group aliased a DataView cell; drop the alias
-		// instead of truncating it, so appends can never write into the
-		// shared view arrays.
-		s.g.objs = nil
-		s.g.shared = false
-	}
 	s.g.objs = s.g.objs[:0]
-	s.g.xs, s.g.ys = nil, nil
+	s.g.ids, s.g.xs, s.g.ys = nil, nil, nil
 	s.g.index = nil
 	s.g.indexed = 0
 	s.scores = s.scores[:0]
@@ -249,22 +253,31 @@ func getScratch(k int) *reduceScratch {
 }
 
 // seedView points the scratch at the group's DataView cell, as if the
-// cell's data objects had just arrived in-stream: shared objects and
+// cell's data objects had just arrived in-stream: shared columns and
 // prebuilt index in, per-object bookkeeping slices zero-filled to match.
-// Safe no-op when the view has no objects in the cell.
-func (s *reduceScratch) seedView(view *DataView, cell grid.CellID) {
-	vc := view.cell(cell)
+// A nil view (the job has no data view) and a view without objects in the
+// cell are no-ops; a view that cannot be resolved fails the group.
+func (s *reduceScratch) seedView(ctx *taskCtx, view viewFunc, cell grid.CellID) error {
+	if view == nil {
+		return nil
+	}
+	v, err := view(ctx)
+	if err != nil {
+		return err
+	}
+	vc := v.cell(cell)
 	if vc == nil {
-		return
+		return nil
 	}
 	s.g.setView(vc)
-	n := len(vc.objs)
+	n := len(vc.ids)
 	s.scores = growZeroed(s.scores, n)
 	s.covered = growZeroed(s.covered, n)
 	s.best = growZeroed(s.best, n)
 	for i := range s.best {
 		s.best[i] = nnState{d2: math.Inf(1)}
 	}
+	return nil
 }
 
 // growZeroed returns s resized to n zero-valued elements, reusing the
@@ -313,7 +326,7 @@ func (g *groupObjs) kernelHits(p geo.Point, r, r2 float64, hits *[]int32, d2s *[
 	var n int64
 	if g.index == nil {
 		h, d = scanSpan(g.xs, g.ys, p.X, p.Y, r2, 0, h, d)
-		n = int64(len(g.objs))
+		n = int64(len(g.xs))
 	} else {
 		// View indexes are identity-permuted (BuildDataView), so a span
 		// [lo, hi) is a contiguous run of the coordinate columns.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"container/list"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -39,15 +41,18 @@ type DataView struct {
 	cells   []viewCell // indexed by grid.CellID
 }
 
-// viewCell is one grid cell's data objects plus its prebuilt bucket index
-// (nil when the cell is too small for the index to pay off, mirroring
-// buildObjGrid). When indexed, objs are permuted into bucket (CSR) order
-// so that every index bucket is a contiguous run; xs/ys are the matching
-// dense coordinate columns the scanSpan kernel reads. Everything is
+// viewCell is one grid cell's data objects, as dense id and coordinate
+// columns, plus their prebuilt bucket index (nil when the cell is too
+// small for the index to pay off, mirroring buildObjGrid). When indexed,
+// the columns are permuted into bucket (CSR) order so that every index
+// bucket is a contiguous run the scanSpan kernel reads. A view object is
+// fully described by its id and location — data objects carry no
+// keywords — so the columns hold everything a reducer reports, in 24
+// bytes per object instead of a 56-byte data.Object. Everything is
 // immutable after construction and shared read-only by concurrent reduce
 // tasks.
 type viewCell struct {
-	objs   []data.Object
+	ids    []uint64
 	xs, ys []float64
 	index  *objGrid
 }
@@ -56,12 +61,28 @@ type viewCell struct {
 // prebuilds each cell's bucket index. The source must yield data objects
 // only; feature objects are rejected, because silently accepting them
 // would drop their scores from every query using the view.
+//
+// The layout costs a few allocations per view, not per cell. One pass
+// collects ids and coordinates in source order (presized from the splits'
+// record counts) and counts objects per cell; a counting sort then orders
+// them cell by cell. Every cell's ids, xs and ys are sub-slices of one
+// backing array each, written in bucket order from one scratch buffer
+// that is reused across cells to build the cell's index.
 func BuildDataView(g *grid.Grid, src mapreduce.Source[data.Object]) (*DataView, error) {
 	splits, err := src.Splits()
 	if err != nil {
 		return nil, err
 	}
-	v := &DataView{gridN: dimsOf(g), bounds: g.Bounds(), cells: make([]viewCell, g.NumCells())}
+	hint := 0
+	for _, s := range splits {
+		if cs, ok := s.(mapreduce.CountedSplit); ok {
+			hint += cs.Records()
+		}
+	}
+	srcIDs := make([]uint64, 0, hint)
+	srcXs, srcYs := make([]float64, 0, hint), make([]float64, 0, hint)
+	cellOf := make([]grid.CellID, 0, hint)
+	starts := make([]int, g.NumCells()+1)
 	var badKind bool
 	for _, s := range splits {
 		err := s.Each(func(o data.Object) bool {
@@ -70,8 +91,10 @@ func BuildDataView(g *grid.Grid, src mapreduce.Source[data.Object]) (*DataView, 
 				return false
 			}
 			c := g.CellOf(o.Loc)
-			v.cells[c].objs = append(v.cells[c].objs, o)
-			v.records++
+			srcIDs = append(srcIDs, o.ID)
+			srcXs, srcYs = append(srcXs, o.Loc.X), append(srcYs, o.Loc.Y)
+			cellOf = append(cellOf, c)
+			starts[c+1]++
 			return true
 		})
 		if err != nil {
@@ -81,33 +104,131 @@ func BuildDataView(g *grid.Grid, src mapreduce.Source[data.Object]) (*DataView, 
 			return nil, fmt.Errorf("core: data view source yielded a feature object")
 		}
 	}
+
+	// Counting sort by cell: starts becomes the cells' offsets, and order
+	// lists the source positions cell by cell, in source order within a
+	// cell.
+	for i := 1; i < len(starts); i++ {
+		starts[i] += starts[i-1]
+	}
+	n := len(cellOf)
+	order := make([]int32, n)
+	fill := append([]int(nil), starts[:len(starts)-1]...)
+	for i, c := range cellOf {
+		order[fill[c]] = int32(i)
+		fill[c]++
+	}
+
+	v := &DataView{gridN: dimsOf(g), bounds: g.Bounds(), records: n, cells: make([]viewCell, g.NumCells())}
+	ids, xs, ys := make([]uint64, n), make([]float64, n), make([]float64, n)
+	var objs []data.Object
 	for i := range v.cells {
+		lo, hi := starts[i], starts[i+1]
+		if lo == hi {
+			continue
+		}
+		objs = objs[:0]
+		for _, k := range order[lo:hi] {
+			objs = append(objs, data.Object{Kind: data.DataObject, ID: srcIDs[k], Loc: geo.Point{X: srcXs[k], Y: srcYs[k]}})
+		}
+		// Full slice expressions: a cell can never grow into its neighbour.
 		c := &v.cells[i]
-		c.index = buildObjGrid(c.objs)
-		if c.index != nil {
-			// Permute the cell into bucket order: the index's idx array
-			// becomes the identity, so every bucket span is a contiguous
-			// run of objs — and of the coordinate columns below, which is
-			// what lets the reduce side scan a span with the batch-8
-			// kernel instead of gathering through idx. Scores are
-			// per-index state seeded fresh for each group, and the top-k
-			// is order-canonical, so the permutation cannot change
-			// results.
-			perm := make([]data.Object, len(c.objs))
-			for j, oi := range c.index.idx {
-				perm[j] = c.objs[oi]
+		c.ids, c.xs, c.ys = ids[lo:hi:hi], xs[lo:hi:hi], ys[lo:hi:hi]
+		c.index = buildObjGrid(objs)
+		for j := range objs {
+			o := &objs[j]
+			if c.index != nil {
+				// Write the cell in bucket order: the index's idx array
+				// becomes the identity, so every bucket span is a
+				// contiguous run of the columns, which is what lets the
+				// reduce side scan a span with the batch-8 kernel instead
+				// of gathering through idx. Scores are per-index state
+				// seeded fresh for each group, and the top-k is
+				// order-canonical, so the permutation cannot change
+				// results.
+				o = &objs[c.index.idx[j]]
 				c.index.idx[j] = int32(j)
 			}
-			c.objs = perm
-		}
-		c.xs = make([]float64, len(c.objs))
-		c.ys = make([]float64, len(c.objs))
-		for j := range c.objs {
-			c.xs[j] = c.objs[j].Loc.X
-			c.ys[j] = c.objs[j].Loc.Y
+			c.ids[j], c.xs[j], c.ys[j] = o.ID, o.Loc.X, o.Loc.Y
 		}
 	}
 	return v, nil
+}
+
+// viewFunc resolves the data view a reduce group is seeded from. It runs
+// inside the reduce task, so a view that still has to be built is built —
+// and metered — by the first task whose groups need it.
+type viewFunc func(*taskCtx) (*DataView, error)
+
+// fixedView resolves to an already-built view.
+func fixedView(v *DataView) viewFunc {
+	return func(*taskCtx) (*DataView, error) { return v, nil }
+}
+
+// ErrViewUnavailable fails a data-view job whose view cannot be resolved
+// where its reduce tasks run. Such a job's source carries feature objects
+// only, so reducing without the view would silently return results
+// missing every data object; the job fails instead.
+var ErrViewUnavailable = errors.New("core: data view unavailable")
+
+// resolveView returns the view cached under key, building it on a miss,
+// and counts a build on the task that performed it (under CounterViewBuilds
+// and, for a named worker, CounterViewBuilds+"."+worker as well).
+// Concurrent tasks needing the same view share one build.
+func resolveView(ctx *taskCtx, views *ViewCache, key, worker string, build func() (*DataView, error)) (*DataView, error) {
+	built := false
+	v, err := views.GetOrBuild(key, func() (*DataView, error) {
+		built = true
+		return build()
+	})
+	if err == nil && built {
+		ctx.Counter(CounterViewBuilds, 1)
+		if worker != "" {
+			ctx.Counter(CounterViewBuilds+"."+worker, 1)
+		}
+	}
+	return v, err
+}
+
+// buildManifestView builds the data view of the generation a persisted
+// manifest (its encoded bytes) describes: every data block it lists, read
+// through r and laid over g. gen is the generation the job was planned
+// on; a manifest of any other generation, or of a format without block
+// zone maps, is rejected as a permanent failure.
+func buildManifestView(r data.RangeReader, manifest []byte, gen uint64, g *grid.Grid, io *data.SegIOStats) (*DataView, error) {
+	m, err := data.DecodeManifest(bytes.NewReader(manifest))
+	if err != nil {
+		return nil, mapreduce.Permanent(fmt.Errorf("%w: %v", ErrViewUnavailable, err))
+	}
+	if m.Format != data.FormatCompressed || m.Generation != gen {
+		return nil, mapreduce.Permanent(fmt.Errorf("%w: manifest of a %q generation %d, want %q generation %d",
+			ErrViewUnavailable, m.Format, m.Generation, data.FormatCompressed, gen))
+	}
+	in := data.NewColInput(r, data.SelectCells(nil, m.Data), nil, m.Generation)
+	in.IO = io
+	return BuildDataView(g, in)
+}
+
+// localWireView resolves the view of a data-view job that runs locally
+// although its wire names the view for workers to build (a local
+// fallback): the master builds its own view from the manifest in the
+// cluster's file system, once per job. Without a file system the job
+// fails with ErrViewUnavailable.
+func localWireView(c *mapreduce.Cluster, w *WireInfo, g *grid.Grid) viewFunc {
+	views := NewViewCache(0)
+	key := ViewKey(w.Gen, dimsOf(g), g.Bounds(), nil)
+	return func(ctx *taskCtx) (*DataView, error) {
+		if c.FS == nil {
+			return nil, mapreduce.Permanent(fmt.Errorf("%w: job runs locally without a file system to read %s from", ErrViewUnavailable, w.View))
+		}
+		return resolveView(ctx, views, key, "", func() (*DataView, error) {
+			m, err := c.FS.ReadAll(w.View)
+			if err != nil {
+				return nil, err
+			}
+			return buildManifestView(c.FS, m, w.Gen, g, nil)
+		})
+	}
 }
 
 // Records returns the number of data objects the view holds.
@@ -118,7 +239,7 @@ func (v *DataView) cell(id grid.CellID) *viewCell {
 	if int(id) < 0 || int(id) >= len(v.cells) {
 		return nil
 	}
-	if len(v.cells[id].objs) == 0 {
+	if len(v.cells[id].ids) == 0 {
 		return nil
 	}
 	return &v.cells[id]
@@ -160,7 +281,8 @@ func ViewKey(gen uint64, gridN int, bounds geo.Rect, sel []data.ColSel) string {
 }
 
 // DefaultViewCacheRecords is the default ViewCache budget, in cached data
-// objects (~48 bytes each, so the default is on the order of 100 MiB).
+// objects (~30 bytes each with their index, so the default is on the order
+// of 60 MiB).
 const DefaultViewCacheRecords = 1 << 21
 
 // ViewCache is an LRU over data views, budgeted by total cached records

@@ -89,21 +89,29 @@ type Options struct {
 	// Wire, when set, describes the sealed storage the source reads and
 	// offers the job for distributed execution: Run attaches a serialized
 	// query spec (see querySpec) that worker processes reconstruct the job
-	// from, provided nothing in-process-only is configured — a DataView,
-	// a FaultInjector or a load-balanced partition closure keep the job
-	// local regardless. Whether the job actually ships is then the
-	// mapreduce layer's decision (it also requires every split to
-	// serialize a reference).
+	// from, provided nothing in-process-only is configured — a DataView
+	// the wire cannot name (Wire.View empty), a FaultInjector or a
+	// load-balanced partition closure keep the job local regardless.
+	// Whether the job actually ships is then the mapreduce layer's
+	// decision (it also requires every split to serialize a reference).
+	//
+	// A non-empty Wire.View makes the job a data-view job even without a
+	// DataView: the source yields feature objects only, and the data half
+	// comes from the view of the generation whose manifest Wire.View
+	// names. Worker reduce tasks build that view themselves and cache it
+	// per worker; if the job runs locally instead (a local fallback), its
+	// reduce tasks build the master's own view from Cluster.FS, or fail
+	// with ErrViewUnavailable — never reduce without the data objects.
 	Wire *WireInfo
-	// DataView, when set, supplies the data objects out of band: the
-	// source must then yield feature objects only, and each reduce group
-	// is seeded with its cell's data objects from the view — shared dense
-	// slices with prebuilt bucket indexes — instead of receiving them
-	// through the shuffle. Results are identical to the in-stream path
-	// (the comparator already guarantees data before features within a
-	// group; preloading is the limit of that order), but the job sorts,
-	// copies and merges only feature records. The view must have been
-	// built for exactly this grid (Bounds, GridN). See BuildDataView.
+	// DataView, when set, is the in-process data view: the source must
+	// then yield feature objects only, and each reduce group is seeded
+	// with its cell's data objects from the view — shared dense slices
+	// with prebuilt bucket indexes — instead of receiving them through the
+	// shuffle. Results are identical to the in-stream path (the comparator
+	// already guarantees data before features within a group; preloading
+	// is the limit of that order), but the job sorts, copies and merges
+	// only feature records. The view must have been built for exactly this
+	// grid (Bounds, GridN). See BuildDataView.
 	DataView *DataView
 }
 
@@ -205,12 +213,23 @@ func RunContext(ctx context.Context, alg Algorithm, src mapreduce.Source[data.Ob
 		balanced = true
 	}
 
-	job, err := buildJob(alg, g, q, opts, partition)
+	// The reduce side's data half: the in-process view, or — for a job
+	// whose wire names a view — the master's own view, resolved only if
+	// the job ends up running locally.
+	var view viewFunc
+	wireView := opts.Wire != nil && opts.Wire.View != ""
+	switch {
+	case opts.DataView != nil:
+		view = fixedView(opts.DataView)
+	case wireView:
+		view = localWireView(opts.Cluster, opts.Wire, g)
+	}
+	job, err := buildJob(alg, g, q, opts, partition, view)
 	if err != nil {
 		return nil, err
 	}
 	job.Source = src
-	if opts.Wire != nil && opts.DataView == nil && opts.FaultInjector == nil && !balanced {
+	if opts.Wire != nil && (opts.DataView == nil || wireView) && opts.FaultInjector == nil && !balanced {
 		spec, werr := encodeQuerySpec(alg, q, opts)
 		if werr != nil {
 			return nil, werr
@@ -241,10 +260,11 @@ func RunContext(ctx context.Context, alg Algorithm, src mapreduce.Source[data.Ob
 // codecs, comparators, Map and Reduce functions, and the retry knobs. It
 // is shared verbatim between the orchestrating process (Run) and a worker
 // reconstructing the job from its wire spec (see remote.go), so task
-// semantics cannot drift between the two. The Source is set by the
+// semantics cannot drift between the two. view is the reduce side's data
+// view, nil when data objects arrive in-stream. The Source is set by the
 // caller; workers run tasks from split references and never enumerate
 // splits themselves.
-func buildJob(alg Algorithm, g *grid.Grid, q Query, opts Options, partition func(CellKey, int) int) (*mapreduce.Job[data.Object, CellKey, data.Object, cellResult], error) {
+func buildJob(alg Algorithm, g *grid.Grid, q Query, opts Options, partition func(CellKey, int) int, view viewFunc) (*mapreduce.Job[data.Object, CellKey, data.Object, cellResult], error) {
 	job := &mapreduce.Job[data.Object, CellKey, data.Object, cellResult]{
 		Name:          fmt.Sprintf("%s-k%d-r%g", alg, q.K, q.Radius),
 		NumReducers:   opts.numReducers(),
@@ -264,29 +284,29 @@ func buildJob(alg Algorithm, g *grid.Grid, q Query, opts Options, partition func
 		job.Less = CellKeyAscLess
 		job.Compare = CellKeyAscCompare
 		if q.Mode == ScoreNearest {
-			job.Reduce = reduceNearest(q, opts.DataView)
+			job.Reduce = reduceNearest(q, view)
 		} else {
-			job.Reduce = reduceScan(q, scanOpts{}, opts.DataView)
+			job.Reduce = reduceScan(q, scanOpts{}, view)
 		}
 	case ESPQLen:
 		job.Map = mapESPQLen(g, q)
 		job.Less = CellKeyAscLess
 		job.Compare = CellKeyAscCompare
 		// Algorithm 4 = Algorithm 2 + the Equation-1 bound check.
-		job.Reduce = reduceScan(q, scanOpts{lenBound: true}, opts.DataView)
+		job.Reduce = reduceScan(q, scanOpts{lenBound: true}, view)
 	case ESPQSco:
 		job.Map = mapESPQSco(g, q)
 		job.Less = CellKeyDescLess
 		job.Compare = CellKeyDescCompare
 		if q.Mode == ScoreRange {
-			job.Reduce = reduceESPQSco(q, opts.DataView)
+			job.Reduce = reduceESPQSco(q, view)
 		} else {
 			// Influence: a feature's contribution is at most its textual
 			// score, so under descending-score order the group can stop as
 			// soon as w(x,q) <= τ — but the first covering feature is no
 			// longer final, so Algorithm 6 gives way to the Algorithm-2
 			// scan with a descending-order break.
-			job.Reduce = reduceScan(q, scanOpts{descBreak: true}, opts.DataView)
+			job.Reduce = reduceScan(q, scanOpts{descBreak: true}, view)
 		}
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %d", int(alg))
@@ -311,6 +331,10 @@ const (
 	// CounterEarlyTerminations counts reduce groups that stopped before
 	// exhausting their feature list.
 	CounterEarlyTerminations = "spq.reduce.early_terminations"
+	// CounterViewBuilds counts the data views a query built, in the
+	// engine or — under a ".<worker>" suffix as well — on a worker.
+	// Queries served from a cached view build none.
+	CounterViewBuilds = "spq.view.builds"
 )
 
 // dupScratch pools the duplication-target slices of emitFeature. One Map
@@ -407,13 +431,13 @@ type scanOpts struct {
 // monotone contribution (range and influence modes). Under eSPQlen
 // ordering, the Equation-1 bound of the current feature bounds every later
 // feature, so τ ≥ w̄(f,q) stops the group (Lemma 2).
-func reduceScan(q Query, opts scanOpts, view *DataView) reduceFunc {
+func reduceScan(q Query, opts scanOpts, view viewFunc) reduceFunc {
 	r2 := q.Radius * q.Radius
 	return func(ctx *taskCtx, values *valueIter, emit func(cellResult)) error {
 		sc := getScratch(q.K)
 		defer putScratch(sc)
-		if view != nil {
-			sc.seedView(view, values.GroupKey().Cell)
+		if err := sc.seedView(ctx, view, values.GroupKey().Cell); err != nil {
+			return err
 		}
 		var (
 			g    = &sc.g
@@ -480,7 +504,7 @@ func reduceScan(q Query, opts scanOpts, view *DataView) reduceFunc {
 				for n, i := range sc.hits {
 					if c := q.contribution(fw, sc.hitD2[n]); c > sc.scores[i] {
 						sc.scores[i] = c
-						topk.Update(ResultItem{ID: g.objs[i].ID, Loc: g.objs[i].Loc, Score: c})
+						topk.Update(g.result(i, c))
 					}
 				}
 			} else {
@@ -503,13 +527,13 @@ func reduceScan(q Query, opts scanOpts, view *DataView) reduceFunc {
 // drops below τ (Lemma 3; the strict comparison keeps scanning through
 // features tied with τ so that ties resolve canonically by id, not by
 // arrival order).
-func reduceESPQSco(q Query, view *DataView) reduceFunc {
+func reduceESPQSco(q Query, view viewFunc) reduceFunc {
 	r2 := q.Radius * q.Radius
 	return func(ctx *taskCtx, values *valueIter, emit func(cellResult)) error {
 		sc := getScratch(q.K)
 		defer putScratch(sc)
-		if view != nil {
-			sc.seedView(view, values.GroupKey().Cell)
+		if err := sc.seedView(ctx, view, values.GroupKey().Cell); err != nil {
+			return err
 		}
 		var (
 			g    = &sc.g
@@ -557,7 +581,7 @@ func reduceESPQSco(q Query, view *DataView) reduceFunc {
 					if !sc.covered[i] {
 						// Here w(x,q) = τ(p): no later feature scores higher.
 						sc.covered[i] = true
-						topk.Update(ResultItem{ID: g.objs[i].ID, Loc: g.objs[i].Loc, Score: fw})
+						topk.Update(g.result(i, fw))
 					}
 				}
 			} else {

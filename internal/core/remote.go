@@ -31,6 +31,15 @@ type WireInfo struct {
 	// scopes worker-side decoded-block caching exactly like the engine's
 	// segment cache keys.
 	Gen uint64
+	// View, when set, names the persisted manifest of generation Gen (see
+	// data.ManifestFileName) and makes the job a data-view job: the source
+	// yields feature objects only, and reduce tasks seed every cell from
+	// the data view of that generation over the query grid. A worker
+	// builds the view from the manifest's data blocks on the first reduce
+	// task that needs it, through that task's I/O — so the one-off fetch
+	// is metered like any other read — and caches it for every later job
+	// on the same (generation, grid).
+	View string
 }
 
 // querySpec is the serialized form of one SPQ query job: everything a
@@ -47,6 +56,7 @@ type querySpec struct {
 	NumReducers int
 	DictLen     int
 	Gen         uint64
+	View        string
 }
 
 // encodeQuerySpec serializes the job parameters for the wire.
@@ -62,6 +72,7 @@ func encodeQuerySpec(alg Algorithm, q Query, opts Options) ([]byte, error) {
 		NumReducers: opts.NumReducers,
 		DictLen:     opts.Wire.DictLen,
 		Gen:         opts.Wire.Gen,
+		View:        opts.Wire.View,
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
@@ -72,6 +83,28 @@ func encodeQuerySpec(alg Algorithm, q Query, opts Options) ([]byte, error) {
 
 func init() {
 	mapreduce.RegisterJobKind(WireKind, buildWireJob)
+}
+
+// workerViews is the WorkerEnv value key of a worker's data-view cache. The
+// cache lives as long as the worker's attachment to one master, so its
+// (generation, grid) keys are never shared between masters.
+type workerViews struct{}
+
+// viewReduceJob is the worker-side form of a data-view job: map tasks run
+// the job as bound, and each reduce task runs a copy whose reducers
+// resolve the view through that task's I/O.
+type viewReduceJob struct {
+	mapreduce.RemoteJob
+	reduceJob func(io *mapreduce.TaskIO) (mapreduce.RemoteJob, error)
+}
+
+// RunReduceTask implements mapreduce.RemoteJob.
+func (j *viewReduceJob) RunReduceTask(io *mapreduce.TaskIO, d *mapreduce.TaskDesc) (*mapreduce.TaskResult, error) {
+	rj, err := j.reduceJob(io)
+	if err != nil {
+		return nil, err
+	}
+	return rj.RunReduceTask(io, d)
 }
 
 // buildWireJob reconstructs an SPQ query job on a worker process. The job
@@ -90,7 +123,7 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 		NumReducers: s.NumReducers,
 	}
 	g := grid.New(s.Bounds, opts.gridN(), opts.gridN())
-	job, err := buildJob(Algorithm(s.Alg), g, q, opts, CellKeyPartition)
+	job, err := buildJob(Algorithm(s.Alg), g, q, opts, CellKeyPartition, nil)
 	if err != nil {
 		return nil, mapreduce.Permanent(err)
 	}
@@ -171,5 +204,31 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 			return nil, mapreduce.Permanent(fmt.Errorf("core: unknown split kind %q", ref.Kind))
 		}
 	}
-	return mapreduce.BindRemote(job, open), nil
+	bound := mapreduce.BindRemote(job, open)
+	if s.View == "" {
+		return bound, nil
+	}
+
+	// Data-view job: the worker's view of (generation, grid) is built at
+	// most once per attachment — concurrent reduce tasks share the build,
+	// a failed build fails only its task (which is retried), and reduce
+	// tasks without groups never build at all.
+	views := env.Value(workerViews{}, func() any { return NewViewCache(0) }).(*ViewCache)
+	key := ViewKey(s.Gen, opts.gridN(), s.Bounds, nil)
+	return &viewReduceJob{RemoteJob: bound, reduceJob: func(io *mapreduce.TaskIO) (mapreduce.RemoteJob, error) {
+		view := func(ctx *taskCtx) (*DataView, error) {
+			return resolveView(ctx, views, key, env.Worker, func() (*DataView, error) {
+				m, err := io.Fetch(s.View)
+				if err != nil {
+					return nil, err
+				}
+				return buildManifestView(io, m, s.Gen, g, segStatsFor(io))
+			})
+		}
+		rjob, err := buildJob(Algorithm(s.Alg), g, q, opts, CellKeyPartition, view)
+		if err != nil {
+			return nil, mapreduce.Permanent(err)
+		}
+		return mapreduce.BindRemote(rjob, open), nil
+	}}, nil
 }

@@ -78,13 +78,13 @@ type nnState struct {
 // the textual score of its nearest relevant feature (ties at equal
 // distance resolved toward the higher score, so results are independent
 // of arrival order).
-func reduceNearest(q Query, view *DataView) reduceFunc {
+func reduceNearest(q Query, view viewFunc) reduceFunc {
 	r2 := q.Radius * q.Radius
 	return func(ctx *taskCtx, values *valueIter, emit func(cellResult)) error {
 		sc := getScratch(q.K)
 		defer putScratch(sc)
-		if view != nil {
-			sc.seedView(view, values.GroupKey().Cell)
+		if err := sc.seedView(ctx, view, values.GroupKey().Cell); err != nil {
+			return err
 		}
 		var (
 			g    = &sc.g
@@ -135,11 +135,11 @@ func reduceNearest(q Query, view *DataView) reduceFunc {
 		// TopK's canonical tie-breaking makes the outcome independent of
 		// offer order, so iterating in objs order is for clarity, not
 		// correctness.
-		for i := range g.objs {
+		for i := int32(0); int(i) < g.len(); i++ {
 			if sc.best[i].w == 0 {
 				continue // no relevant feature within r
 			}
-			topk.Update(ResultItem{ID: g.objs[i].ID, Loc: g.objs[i].Loc, Score: sc.best[i].w})
+			topk.Update(g.result(i, sc.best[i].w))
 		}
 		for _, item := range topk.Items() {
 			emit(cellResult{Item: item})

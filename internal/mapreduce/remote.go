@@ -59,7 +59,11 @@ type RemoteFS interface {
 // WorkerEnv is the per-worker-process execution environment: the
 // transport to the master, a write-once local mirror of fetched input
 // files (input files are immutable and generation-prefixed, so the mirror
-// never invalidates), and a cache of reconstructed jobs keyed by job id.
+// never invalidates), a cache of reconstructed jobs keyed by job id, and
+// the values job builders keep across jobs (see Value). A worker builds a
+// fresh environment every time it attaches to a master, so nothing in it
+// outlives one attachment: state keyed on the master's names — storage
+// generations, file names — can never alias another master's data.
 type WorkerEnv struct {
 	// Worker is the name the master assigned at attach time.
 	Worker string
@@ -73,6 +77,9 @@ type WorkerEnv struct {
 
 	jobsMu sync.Mutex
 	jobs   map[string]RemoteJob
+
+	valMu  sync.Mutex
+	values map[any]any
 
 	// running tracks the cancel flags of in-flight task attempts, so the
 	// master can abandon the losing side of a speculative race.
@@ -101,8 +108,24 @@ func NewWorkerEnv(worker string, fs RemoteFS) *WorkerEnv {
 		// carry explicit byte ranges).
 		mirror:  dfs.New(dfs.Config{NumNodes: 1, Replication: 1}),
 		jobs:    make(map[string]RemoteJob),
+		values:  make(map[any]any),
 		running: make(map[attemptKey]*atomic.Bool),
 	}
+}
+
+// Value returns the environment-scoped value stored under key, creating it
+// with mk on first use. Job builders keep state here that must outlive a
+// single job but not the attachment, such as a cache of structures built
+// from the master's immutable files.
+func (e *WorkerEnv) Value(key any, mk func() any) any {
+	e.valMu.Lock()
+	defer e.valMu.Unlock()
+	if v, ok := e.values[key]; ok {
+		return v
+	}
+	v := mk()
+	e.values[key] = v
+	return v
 }
 
 // registerAttempt publishes a fresh cancel flag for a starting attempt;

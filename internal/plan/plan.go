@@ -320,7 +320,10 @@ func planGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats
 
 	d.GridN = in.GridN
 	if d.GridN <= 0 {
-		d.GridN = chooseGridN(d.Stats.RecordsSelected)
+		d.GridN = chooseGridN(d.Stats.RecordsTotal)
+		if d.Stats.DeltaCells > 0 {
+			d.GridN = chooseGridN(d.Stats.RecordsSelected)
+		}
 	}
 	d.NumReducers = in.NumReducers
 	if d.NumReducers <= 0 {
@@ -487,8 +490,14 @@ const (
 	maxGridN = 128
 )
 
-// chooseGridN picks the query-time grid edge from the surviving record
-// count.
+// chooseGridN picks the query-time grid edge from a record count. A plan
+// over the sealed base alone passes the generation's record count, not
+// the query's selection: such a query takes its data half from the
+// generation's data view over the query grid, so one grid per generation
+// lets every planned query on it share one view, where a selection-sized
+// grid would spread selective queries over many grids, each with its own
+// view. A plan that also reads delta cells shuffles its data half
+// in-stream, shares nothing across queries, and passes its selection.
 func chooseGridN(records int64) int {
 	if records <= 0 {
 		return minGridN

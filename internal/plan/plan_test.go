@@ -231,6 +231,48 @@ func TestChooseGridN(t *testing.T) {
 	}
 }
 
+// The query grid of a delta-free plan is sized from the generation, not
+// from the selection: a selective and a broad query over one manifest get
+// the same grid, so they can share one data view. A plan that reads delta
+// cells shares no view and is sized from its selection.
+func TestPlanGridSizedFromGeneration(t *testing.T) {
+	dict := text.NewDict()
+	r := rand.New(rand.NewSource(5))
+	var objs []data.Object
+	for i := 0; i < 20000; i++ {
+		loc := geo.Point{X: r.Float64(), Y: r.Float64()}
+		if i%2 == 0 {
+			objs = append(objs, data.Object{Kind: data.DataObject, ID: uint64(i), Loc: loc})
+			continue
+		}
+		kw := "common"
+		if loc.X < 0.1 && loc.Y < 0.1 {
+			kw = "rare"
+		}
+		objs = append(objs, data.Object{Kind: data.FeatureObject, ID: uint64(i), Loc: loc, Keywords: dict.InternAll([]string{kw})})
+	}
+	g := grid.New(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 16, 16)
+	m, _ := data.PartitionObjects(g, objs).SealMemory("t", dict)
+
+	rare := PlanGenerations(m, nil, nil, Input{Radius: 0.01, Keywords: []string{"rare"}, ReduceSlots: 4})
+	broad := PlanGenerations(m, nil, nil, Input{Radius: 0.01, Keywords: []string{"common"}, ReduceSlots: 4})
+	if rare.Stats.RecordsSelected*4 > broad.Stats.RecordsSelected {
+		t.Fatalf("selections too similar for the test: %d vs %d records", rare.Stats.RecordsSelected, broad.Stats.RecordsSelected)
+	}
+	want := chooseGridN(rare.Stats.RecordsTotal)
+	if rare.GridN != want || broad.GridN != want {
+		t.Errorf("grids %d (selective) and %d (broad), want both %d from the %d stored records",
+			rare.GridN, broad.GridN, want, rare.Stats.RecordsTotal)
+	}
+
+	dd, df := buildDelta(m, 0.5, 0.5, "common", 50)
+	withDelta := PlanGenerations(m, dd, df, Input{Radius: 0.01, Keywords: []string{"rare"}, ReduceSlots: 4})
+	if got, want := withDelta.GridN, chooseGridN(withDelta.Stats.RecordsSelected); got != want || got == chooseGridN(withDelta.Stats.RecordsTotal) {
+		t.Errorf("plan over a delta: grid %d, want %d from its %d selected records (not %d from the total)",
+			got, want, withDelta.Stats.RecordsSelected, chooseGridN(withDelta.Stats.RecordsTotal))
+	}
+}
+
 func TestChooseReducers(t *testing.T) {
 	if got := chooseReducers(4, 8); got != 16 {
 		t.Errorf("small grid: reducers = %d, want 16 (one per cell)", got)
